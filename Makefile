@@ -64,10 +64,11 @@ perf-smoke:
 	$(GO) run ./cmd/ubabench -perfsmoke $(PERFSMOKE_FLAGS)
 
 # Sparse-delivery scaling check: the large-n broadcast-heavy rounds that
-# the shared-broadcast-block delivery exists for. One sequential and one
-# concurrent round benchmark at n=8192 under a wall-clock budget
-# (-benchtime is per-benchmark; timeout is the hard stop), emitted as
-# plain `go test -bench` output for the CI artifact.
+# the shared-broadcast-block delivery exists for. Round benchmarks at
+# n=4096 and n=8192, inline (workers=1) and at the default worker cap,
+# under a wall-clock budget (-benchtime is per-benchmark; timeout is the
+# hard stop), emitted as plain `go test -bench` output for the CI
+# artifact.
 bench-sparse:
 	$(GO) test ./internal/simnet -run '^$$' -bench 'BenchmarkRoundEngineSparse' -benchmem -benchtime 3x -timeout 300s
 

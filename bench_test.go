@@ -3,6 +3,7 @@ package uba_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"uba"
@@ -216,19 +217,23 @@ func BenchmarkIDSetInsert(b *testing.B) {
 
 // --- ablation benches: design choices called out in DESIGN.md.
 
-// Sequential vs pooled concurrent runner on identical workloads: the
-// engines are observably equivalent (asserted by tests); this measures
-// what the concurrency costs or buys at different scales.
+// Inline cap-1 pipeline vs the default worker cap on identical
+// workloads: the executions are byte-identical (asserted by tests); this
+// measures what phase dispatch costs or buys at different scales. The
+// facade has no runner setting, so the "workers=1/" rows pin GOMAXPROCS
+// to 1, which makes the default cap 1; the unprefixed rows run at the
+// host's GOMAXPROCS.
 func BenchmarkRunnerAblation(b *testing.B) {
 	for _, n := range []int{8, 32, 96} {
-		n := n
-		for _, concurrent := range []bool{false, true} {
-			concurrent := concurrent
-			name := fmt.Sprintf("n=%d/sequential", n)
-			if concurrent {
-				name = fmt.Sprintf("n=%d/concurrent", n)
+		for _, inline := range []bool{true, false} {
+			name := fmt.Sprintf("n=%d", n)
+			if inline {
+				name = fmt.Sprintf("n=%d/workers=1", n)
 			}
 			b.Run(name, func(b *testing.B) {
+				if inline {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+				}
 				f := (n - 1) / 3
 				g := n - f
 				inputs := make([]float64, g)
@@ -239,9 +244,8 @@ func BenchmarkRunnerAblation(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if _, err := uba.Consensus(uba.Config{
 						Correct: g, Byzantine: f,
-						Adversary:  uba.AdversarySplit,
-						Seed:       7,
-						Concurrent: concurrent,
+						Adversary: uba.AdversarySplit,
+						Seed:      7,
 					}, inputs); err != nil {
 						b.Fatal(err)
 					}

@@ -32,8 +32,10 @@ var phaseSizes = []int{256, 512, 1024, 4096}
 type engineBenchResult struct {
 	// Name mirrors the `go test -bench` benchmark name.
 	Name string `json:"name"`
-	// Runner is "sequential" or "concurrent" for single-simulation rows
-	// and "campaign" for multi-simulation rows.
+	// Runner is the row's worker axis: "workers=1" for single-simulation
+	// rows pinned to the inline cap-1 pipeline, "default" for rows at the
+	// default cap (GOMAXPROCS capped at n), and "campaign" for
+	// multi-simulation rows.
 	Runner string `json:"runner"`
 	// Phase is "step" or "route" for the phase-split benchmarks and
 	// empty for full-round rows (whose names stay stable across
@@ -71,7 +73,7 @@ type engineBenchFile struct {
 // benchSpec names one benchmark and knows how to run its loop body.
 type benchSpec struct {
 	name   string
-	runner string
+	runner string // worker-axis label, see engineBenchResult.Runner
 	phase  string // "" for full-round specs
 	n      int
 	jobs   int    // concurrent simulations, 0 = single-simulation spec
@@ -80,15 +82,34 @@ type benchSpec struct {
 	bench  func(b *testing.B)
 }
 
+// Worker-axis labels: cap-1 rows carry a "workers=1/" name segment;
+// default-cap rows carry none.
+const (
+	inlineRunner  = "workers=1"
+	defaultRunner = "default"
+)
+
+// runners is the worker axis every single-simulation sweep covers.
+var runners = []string{inlineRunner, defaultRunner}
+
+// runnerWorkers maps a worker-axis label to its Config.Workers value
+// and its name segment.
+func runnerWorkers(runner string) (workers int, segment string) {
+	if runner == inlineRunner {
+		return 1, inlineRunner + "/"
+	}
+	return 0, ""
+}
+
 // roundSpec measures full rounds (step + route) via RunRound.
 func roundSpec(runner string, n int) benchSpec {
-	concurrent := runner == "concurrent"
+	workers, seg := runnerWorkers(runner)
 	return benchSpec{
-		name:   fmt.Sprintf("RoundEngine/%s/n=%d", runner, n),
+		name:   fmt.Sprintf("RoundEngine/%sn=%d", seg, n),
 		runner: runner,
 		n:      n,
 		bench: func(b *testing.B) {
-			net, _, err := simnet.NewBroadcastBench(n, b.N+2, concurrent)
+			net, _, err := simnet.NewBroadcastBench(n, b.N+2, workers)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -123,8 +144,8 @@ func phaseSpec(phase, runner string, n int) benchSpec {
 // same shape, the delta is the whole price of Config.FaultPlan on a
 // healthy network (the zero-alloc gate pins its allocation half to 0).
 func planPhaseSpec(phase, runner string, n int, idlePlan bool) benchSpec {
-	concurrent := runner == "concurrent"
-	name := fmt.Sprintf("RoundEngine/%s/%s/n=%d", phase, runner, n)
+	workers, seg := runnerWorkers(runner)
+	name := fmt.Sprintf("RoundEngine/%s/%sn=%d", phase, seg, n)
 	var plan *simnet.FaultPlan
 	planLabel := ""
 	if idlePlan {
@@ -139,7 +160,7 @@ func planPhaseSpec(phase, runner string, n int, idlePlan bool) benchSpec {
 		n:      n,
 		plan:   planLabel,
 		bench: func(b *testing.B) {
-			rp, err := simnet.NewRoundPhasesPlan(n, concurrent, plan)
+			rp, err := simnet.NewRoundPhasesPlan(n, workers, plan)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -178,7 +199,7 @@ func planPhaseSpec(phase, runner string, n int, idlePlan bool) benchSpec {
 const campaignChunk = 4
 
 // campaignSpec measures aggregate campaign throughput: jobs independent
-// sequential simulations of size n multiplexed over one bounded
+// single-worker simulations of size n multiplexed over one bounded
 // scheduler (simnet.CampaignBench). One op advances every simulation by
 // campaignChunk rounds, so with a fixed n the jobs ladder shows how
 // much concurrency the worker budget converts into throughput — and on
@@ -228,26 +249,25 @@ func procsSpec(spec benchSpec, procs int) benchSpec {
 }
 
 // allSpecs is the full `make bench-json` sweep: round benchmarks over
-// benchSizes, then the phase split over phaseSizes, for both runners
-// (with plan=idle route rows re-measuring the zero-alloc-gate sizes
-// under an attached-but-idle fault plan),
-// plus GOMAXPROCS-pinned concurrent rows so scaling under fixed
-// parallelism is tracked in-repo: a {1,4,8}-proc ladder at the two
-// sizes the zero-alloc gate certifies (the procs=1 rung doubles as the
-// pool-overhead row — the pooled runner on one core against the
-// sequential row of the same size), and the legacy top-size row.
-// The campaign matrix — jobs {1,2,4,8} × procs {1,4,8} at the
-// perf-gate size — tracks how the shared scheduler converts worker
-// budget into aggregate multi-simulation throughput.
+// benchSizes, then the phase split over phaseSizes, at both worker-axis
+// points (with plan=idle route rows re-measuring the zero-alloc-gate
+// sizes under an attached-but-idle fault plan), plus a procs=1
+// default-cap row at the two sizes the zero-alloc gate certifies: at
+// one proc the default cap is 1, so it pins the default configuration
+// of a one-core host regardless of the regenerating machine. The
+// campaign matrix — jobs
+// {1,2,4,8} × procs {1,4,8} at the perf-gate size — tracks how the
+// shared scheduler converts worker budget into aggregate
+// multi-simulation throughput.
 func allSpecs() []benchSpec {
 	var specs []benchSpec
-	for _, runner := range []string{"sequential", "concurrent"} {
+	for _, runner := range runners {
 		for _, n := range benchSizes {
 			specs = append(specs, roundSpec(runner, n))
 		}
 	}
 	for _, phase := range []string{"step", "route"} {
-		for _, runner := range []string{"sequential", "concurrent"} {
+		for _, runner := range runners {
 			for _, n := range phaseSizes {
 				specs = append(specs, phaseSpec(phase, runner, n))
 			}
@@ -255,17 +275,14 @@ func allSpecs() []benchSpec {
 	}
 	// Plan-presence rows: the route phase with an idle fault plan
 	// attached, paired with the plan-free rows above (see planPhaseSpec).
-	for _, runner := range []string{"sequential", "concurrent"} {
+	for _, runner := range runners {
 		for _, n := range []int{1024, 4096} {
 			specs = append(specs, planPhaseSpec("route", runner, n, true))
 		}
 	}
 	for _, n := range []int{1024, 4096} {
-		for _, procs := range []int{1, 4, 8} {
-			specs = append(specs, procsSpec(roundSpec("concurrent", n), procs))
-		}
+		specs = append(specs, procsSpec(roundSpec(defaultRunner, n), 1))
 	}
-	specs = append(specs, procsSpec(roundSpec("concurrent", 8192), 4))
 	for _, jobs := range []int{1, 2, 4, 8} {
 		for _, procs := range []int{1, 4, 8} {
 			specs = append(specs, procsSpec(campaignSpec(jobs, 256), procs))

@@ -9,7 +9,8 @@ import (
 )
 
 // smokeSpecs is the perf-smoke subset: the n=256 full-round and
-// phase-split benchmarks for both runners, plus the route-only rows at
+// phase-split benchmarks at both worker-axis points (workers=1 and the
+// default cap), plus the route-only rows at
 // the two sizes the zero-alloc gate certifies (n=1024, n=4096) — the
 // allocs/op band on those rows is the perf-trajectory counterpart of
 // the //lint:noalloc contract, so an allocation creeping back into the
@@ -23,11 +24,11 @@ import (
 // multiplexing simulations adds no per-op allocations, and its ns/op
 // band catches a regression in the dispatch or fairness machinery.
 // Small enough to finish in seconds on a CI runner, broad enough that
-// a regression in either phase, either runner, or the campaign layer
+// a regression in either phase, at either cap, or in the campaign layer
 // moves at least one row.
 func smokeSpecs() []benchSpec {
 	var specs []benchSpec
-	for _, runner := range []string{"sequential", "concurrent"} {
+	for _, runner := range runners {
 		specs = append(specs, roundSpec(runner, 256))
 		for _, phase := range []string{"step", "route"} {
 			specs = append(specs, phaseSpec(phase, runner, 256))

@@ -14,7 +14,7 @@ import (
 func fastSpec(name string) benchSpec {
 	return benchSpec{
 		name:   name,
-		runner: "sequential",
+		runner: inlineRunner,
 		n:      1,
 		bench: func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -32,7 +32,7 @@ var allocSink []byte
 func allocSpec(name string) benchSpec {
 	return benchSpec{
 		name:   name,
-		runner: "sequential",
+		runner: inlineRunner,
 		n:      1,
 		bench: func(b *testing.B) {
 			b.ReportAllocs()

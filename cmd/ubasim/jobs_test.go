@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"uba/internal/chaos"
@@ -11,15 +12,19 @@ import (
 
 // TestRunJobsOutputIdentical pins the -jobs determinism contract: the
 // flag only rebudgets the shared simulation scheduler, so a protocol
-// run — sequential or concurrent — prints the identical report for
-// every budget.
+// run prints the identical report for every budget — whether its round
+// pipeline runs sequentially (GOMAXPROCS=1: a default worker cap of 1,
+// every phase inline) or concurrently (GOMAXPROCS=4: phases dispatched
+// over the scheduler). It changes GOMAXPROCS, so it must not run in
+// parallel with other tests.
 func TestRunJobsOutputIdentical(t *testing.T) {
-	for _, mode := range []string{"sequential", "concurrent"} {
-		t.Run(mode, func(t *testing.T) {
+	for _, mode := range []struct {
+		name  string
+		procs int
+	}{{"sequential", 1}, {"concurrent", 4}} {
+		t.Run(mode.name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(mode.procs))
 			base := []string{"-protocol", "consensus", "-g", "7", "-f", "2", "-adversary", "split", "-seed", "3"}
-			if mode == "concurrent" {
-				base = append(base, "-concurrent")
-			}
 			var baseline bytes.Buffer
 			if err := run(base, &baseline); err != nil {
 				t.Fatal(err)

@@ -46,7 +46,6 @@ func run(args []string, out io.Writer) error {
 	advName := fs.String("adversary", "silent", "none|silent|crash|split|ghost|noise")
 	seed := fs.Int64("seed", 1, "deterministic seed")
 	timing := fs.String("timing", "async", "impossibility timing: sync|semisync|async")
-	concurrent := fs.Bool("concurrent", false, "pooled concurrent runner")
 	traceRounds := fs.Int("trace", 0, "print a message transcript of the first N rounds")
 	reproPath := fs.String("repro", "", "replay a chaos repro JSON file and exit")
 	jobs := fs.Int("jobs", 0, "worker budget of the shared simulation scheduler (0 = GOMAXPROCS); output is identical for every value")
@@ -58,7 +57,7 @@ func run(args []string, out io.Writer) error {
 	}
 	if *jobs > 0 {
 		// Bound the process-wide scheduler: every simulation in this
-		// process — the -concurrent runner's phases, a -repro replay —
+		// process — every round's step and route phases, a -repro replay —
 		// draws from this one budget, so jobs×workers cannot
 		// oversubscribe the machine.
 		sched.SetDefaultBudget(*jobs)
@@ -73,7 +72,7 @@ func run(args []string, out io.Writer) error {
 	}
 	cfg := uba.Config{
 		Correct: *g, Byzantine: *f, Adversary: adv,
-		Seed: *seed, Concurrent: *concurrent,
+		Seed: *seed,
 	}
 	var transcript *trace.EventLog
 	if *traceRounds > 0 {

@@ -60,11 +60,6 @@ func TestRunEachProtocol(t *testing.T) {
 			[]string{"-protocol", "impossibility", "-timing", "sync", "-g", "4"},
 			[]string{"agreement=true"},
 		},
-		{
-			"concurrent runner",
-			[]string{"-protocol", "consensus", "-g", "5", "-f", "1", "-concurrent"},
-			[]string{"decision="},
-		},
 	}
 	for _, tt := range tests {
 		tt := tt

@@ -63,21 +63,26 @@ func TestInteractiveConsistencyInputMismatch(t *testing.T) {
 }
 
 // The vector is identical regardless of which node reports it — probed by
-// re-running with the concurrent runner and comparing.
+// re-running at worker caps {2, 3, 5} and comparing with the inline
+// cap-1 run. Caps are set through GOMAXPROCS, so the test is serial.
 func TestInteractiveConsistencyDeterminism(t *testing.T) {
-	t.Parallel()
 	inputs := []float64{5, 6, 7, 8, 9, 10, 11}
-	run := func(concurrent bool) string {
-		res, err := InteractiveConsistency(Config{
-			Correct: 7, Byzantine: 2, Adversary: AdversarySplit,
-			Seed: 9, Concurrent: concurrent,
-		}, inputs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fmt.Sprintf("%v/%d", res.Vector, res.Rounds)
+	run := func(procs int) (out string) {
+		atProcs(procs, func() {
+			res, err := InteractiveConsistency(Config{
+				Correct: 7, Byzantine: 2, Adversary: AdversarySplit, Seed: 9,
+			}, inputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = fmt.Sprintf("%v/%d", res.Vector, res.Rounds)
+		})
+		return out
 	}
-	if a, b := run(false), run(true); a != b {
-		t.Fatalf("runners disagree:\n%s\n%s", a, b)
+	base := run(1)
+	for _, procs := range []int{2, 3, 5} {
+		if got := run(procs); got != base {
+			t.Fatalf("procs=%d disagrees with the inline run:\n%s\n%s", procs, got, base)
+		}
 	}
 }

@@ -21,7 +21,7 @@ type runResult struct {
 type byzFactory func(byzIDs []ids.ID, dir *adversary.Directory) []simnet.Process
 
 func runConsensus(t *testing.T, seed int64, inputs []float64, nByz int,
-	mkByz byzFactory, concurrent bool) runResult {
+	mkByz byzFactory, workers int) runResult {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	all := ids.Sparse(rng, len(inputs)+nByz)
@@ -30,8 +30,8 @@ func runConsensus(t *testing.T, seed int64, inputs []float64, nByz int,
 	dir := adversary.NewDirectory(all, byzIDs)
 
 	net := simnet.New(simnet.Config{
-		MaxRounds:  50*(len(inputs)+nByz) + 200,
-		Concurrent: concurrent,
+		MaxRounds: 50*(len(inputs)+nByz) + 200,
+		Workers:   workers,
 	})
 	nodes := make([]*Node, 0, len(inputs))
 	for i, id := range correctIDs {
@@ -130,7 +130,7 @@ func TestUnanimousInputsDecideInOnePhase(t *testing.T) {
 		tc := tc
 		t.Run(fmt.Sprintf("g=%d_f=%d", tc.g, tc.f), func(t *testing.T) {
 			t.Parallel()
-			res := runConsensus(t, 7, repeat(42.5, tc.g), tc.f, silentByz, false)
+			res := runConsensus(t, 7, repeat(42.5, tc.g), tc.f, silentByz, 0)
 			out := checkAgreement(t, res)
 			if !out.Equal(wire.V(42.5)) {
 				t.Fatalf("decided %v, want the unanimous input 42.5", out)
@@ -150,7 +150,7 @@ func TestUnanimousInputsDecideInOnePhase(t *testing.T) {
 func TestSplitInputsNoFaults(t *testing.T) {
 	t.Parallel()
 	inputs := []float64{0, 0, 1, 1, 0, 1, 1}
-	res := runConsensus(t, 3, inputs, 0, nil, false)
+	res := runConsensus(t, 3, inputs, 0, nil, 0)
 	out := checkAgreement(t, res)
 	if !out.Equal(wire.V(0)) && !out.Equal(wire.V(1)) {
 		t.Fatalf("decided %v, want 0 or 1", out)
@@ -170,7 +170,7 @@ func TestAgreementUnderSplitVoter(t *testing.T) {
 			for i := range inputs {
 				inputs[i] = float64(i % 2)
 			}
-			res := runConsensus(t, seed, inputs, f, splitVoterByz(0, 1), false)
+			res := runConsensus(t, seed, inputs, f, splitVoterByz(0, 1), 0)
 			checkAgreement(t, res)
 			// O(f): a correct coordinator phase occurs within the
 			// first f+1 candidate slots plus adversarial candidate
@@ -190,7 +190,7 @@ func TestAgreementUnderRandomNoise(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			inputs := []float64{3, 1, 4, 1, 5, 9, 2}
-			res := runConsensus(t, seed, inputs, 2, noiseByz(seed*100), false)
+			res := runConsensus(t, seed, inputs, 2, noiseByz(seed*100), 0)
 			checkAgreement(t, res)
 		})
 	}
@@ -205,7 +205,7 @@ func TestAgreementUnderMidRunCrashes(t *testing.T) {
 		t.Run(fmt.Sprintf("crashAfter=%d", after), func(t *testing.T) {
 			t.Parallel()
 			inputs := []float64{0, 1, 0, 1, 0, 1, 0}
-			res := runConsensus(t, int64(after), inputs, 2, crashByz(after, 1), false)
+			res := runConsensus(t, int64(after), inputs, 2, crashByz(after, 1), 0)
 			checkAgreement(t, res)
 		})
 	}
@@ -218,7 +218,7 @@ func TestTerminationSpreadAtMostOnePhase(t *testing.T) {
 	t.Parallel()
 	for seed := int64(1); seed <= 5; seed++ {
 		inputs := []float64{0, 1, 1, 0, 1, 0, 0, 1, 1, 0}
-		res := runConsensus(t, seed, inputs, 3, splitVoterByz(0, 1), false)
+		res := runConsensus(t, seed, inputs, 3, splitVoterByz(0, 1), 0)
 		minR, maxR := res.nodes[0].DecidedRound(), res.nodes[0].DecidedRound()
 		for _, node := range res.nodes {
 			r := node.DecidedRound()
@@ -240,7 +240,7 @@ func TestTerminationSpreadAtMostOnePhase(t *testing.T) {
 func TestEarlyTerminationIndependentOfN(t *testing.T) {
 	t.Parallel()
 	for _, g := range []int{4, 10, 22, 40} {
-		res := runConsensus(t, 5, repeat(1, g), g/4, silentByz, false)
+		res := runConsensus(t, 5, repeat(1, g), g/4, silentByz, 0)
 		for _, node := range res.nodes {
 			if node.DecidedRound() != 7 {
 				t.Fatalf("g=%d: node decided in round %d, want 7", g, node.DecidedRound())
@@ -262,7 +262,7 @@ func TestLateStrangersAreIgnored(t *testing.T) {
 		}
 		return out
 	}
-	res := runConsensus(t, 11, repeat(5, 7), 2, mkByz, false)
+	res := runConsensus(t, 11, repeat(5, 7), 2, mkByz, 0)
 	out := checkAgreement(t, res)
 	if !out.Equal(wire.V(5)) {
 		t.Fatalf("decided %v, want 5", out)
@@ -296,19 +296,21 @@ func (s *lateSpammer) Step(env *simnet.RoundEnv) {
 	env.Broadcast(wire.Opinion{X: wire.V(999)})
 }
 
-// Decisions are identical under the sequential and concurrent runners.
+// Decisions and decision rounds are identical at worker caps {2, 3, 5}
+// and on the inline cap-1 pipeline.
 func TestConsensusDeterministicAcrossRunners(t *testing.T) {
 	t.Parallel()
 	inputs := []float64{2, 7, 2, 7, 2, 7, 7}
-	seq := runConsensus(t, 23, inputs, 2, splitVoterByz(2, 7), false)
-	con := runConsensus(t, 23, inputs, 2, splitVoterByz(2, 7), true)
-	vSeq := checkAgreement(t, seq)
-	vCon := checkAgreement(t, con)
-	if !vSeq.Equal(vCon) {
-		t.Fatalf("runners disagree: %v vs %v", vSeq, vCon)
-	}
-	if seq.rounds != con.rounds {
-		t.Fatalf("runners took different times: %d vs %d", seq.rounds, con.rounds)
+	base := runConsensus(t, 23, inputs, 2, splitVoterByz(2, 7), 1)
+	want := checkAgreement(t, base)
+	for _, workers := range []int{2, 3, 5} {
+		got := runConsensus(t, 23, inputs, 2, splitVoterByz(2, 7), workers)
+		if v := checkAgreement(t, got); !v.Equal(want) {
+			t.Fatalf("workers=%d decided %v, the inline run %v", workers, v, want)
+		}
+		if got.rounds != base.rounds {
+			t.Fatalf("workers=%d took %d rounds, the inline run %d", workers, got.rounds, base.rounds)
+		}
 	}
 }
 
@@ -321,7 +323,7 @@ func TestAgreementNearMaximumFaultLoad(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = float64(i % 2)
 	}
-	res := runConsensus(t, 77, inputs, f, splitVoterByz(0, 1), false)
+	res := runConsensus(t, 77, inputs, f, splitVoterByz(0, 1), 0)
 	checkAgreement(t, res)
 }
 
@@ -343,7 +345,7 @@ func TestTallyBestTieBreaksDeterministically(t *testing.T) {
 // History records one entry per phase with the coordinator and opinion.
 func TestHistoryRecordsPhases(t *testing.T) {
 	t.Parallel()
-	res := runConsensus(t, 2, repeat(9, 5), 1, silentByz, false)
+	res := runConsensus(t, 2, repeat(9, 5), 1, silentByz, 0)
 	for _, node := range res.nodes {
 		h := node.History()
 		if len(h) != node.Phases() || len(h) == 0 {
@@ -365,7 +367,7 @@ func TestUnanimityValidityProperty(t *testing.T) {
 		value := float64(valueRaw) / 16
 		factories := []byzFactory{silentByz, splitVoterByz(value-1, value+1), noiseByz(seed)}
 		mkByz := factories[int(fRaw)%len(factories)]
-		res := runConsensus(t, seed, repeat(value, g), f, mkByz, false)
+		res := runConsensus(t, seed, repeat(value, g), f, mkByz, 0)
 		out := checkAgreement(t, res)
 		if !out.Equal(wire.V(value)) {
 			return false

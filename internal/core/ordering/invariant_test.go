@@ -110,15 +110,16 @@ func TestCascadingLeaves(t *testing.T) {
 	}
 }
 
-// The sequential and concurrent runners produce identical chains for the
-// dynamic ordering protocol too.
+// Worker caps {2, 3, 5} produce the same chains as the inline cap-1
+// pipeline for the dynamic ordering protocol too.
 func TestOrderingRunnersAgree(t *testing.T) {
 	t.Parallel()
-	run := func(concurrent bool) []ChainEntry {
+	run := func(workers int) []ChainEntry {
 		rng := rand.New(rand.NewSource(61))
 		all := ids.Sparse(rng, 6)
 		members := ids.NewSet(all...)
-		net := simnet.New(simnet.Config{MaxRounds: 5000, Concurrent: concurrent})
+		net := simnet.New(simnet.Config{MaxRounds: 5000, Workers: workers})
+		defer net.Close()
 		nodes := make([]*Node, 0, 5)
 		for _, id := range all[:5] {
 			node, err := NewFounder(id, members)
@@ -143,16 +144,19 @@ func TestOrderingRunnersAgree(t *testing.T) {
 		}
 		return nodes[0].Chain()
 	}
-	seq, con := run(false), run(true)
-	if len(seq) != len(con) {
-		t.Fatalf("chain lengths differ: %d vs %d", len(seq), len(con))
-	}
-	for i := range seq {
-		if seq[i] != con[i] {
-			t.Fatalf("chains diverge at %d: %v vs %v", i, seq[i], con[i])
-		}
-	}
-	if len(seq) == 0 {
+	base := run(1)
+	if len(base) == 0 {
 		t.Fatal("empty chains")
+	}
+	for _, workers := range []int{2, 3, 5} {
+		got := run(workers)
+		if len(base) != len(got) {
+			t.Fatalf("workers=%d: chain lengths differ: %d vs %d", workers, len(base), len(got))
+		}
+		for i := range base {
+			if base[i] != got[i] {
+				t.Fatalf("workers=%d: chains diverge at %d: %v vs %v", workers, i, base[i], got[i])
+			}
+		}
 	}
 }

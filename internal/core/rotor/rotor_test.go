@@ -232,13 +232,16 @@ func TestRotorCandidateSetsCoverCorrectNodes(t *testing.T) {
 	}
 }
 
+// Coordinator selections are identical at worker caps {2, 3, 5} and on
+// the inline cap-1 pipeline.
 func TestRotorDeterministicAcrossRunners(t *testing.T) {
 	t.Parallel()
-	run := func(concurrent bool) [][]Selection {
+	run := func(workers int) [][]Selection {
 		rng := rand.New(rand.NewSource(17))
 		all := ids.Sparse(rng, 9)
 		dir := adversary.NewDirectory(all, all[7:])
-		net := simnet.New(simnet.Config{MaxRounds: 500, Concurrent: concurrent})
+		net := simnet.New(simnet.Config{MaxRounds: 500, Workers: workers})
+		defer net.Close()
 		nodes := make([]*Node, 0, 7)
 		for _, id := range all[:7] {
 			node := New(id, opinionOf(id))
@@ -262,15 +265,18 @@ func TestRotorDeterministicAcrossRunners(t *testing.T) {
 		}
 		return out
 	}
-	seq, con := run(false), run(true)
-	for i := range seq {
-		if len(seq[i]) != len(con[i]) {
-			t.Fatalf("node %d: %d vs %d loop rounds", i, len(seq[i]), len(con[i]))
-		}
-		for r := range seq[i] {
-			if seq[i][r].Coordinator != con[i][r].Coordinator {
-				t.Fatalf("node %d loop round %d: %v vs %v",
-					i, r, seq[i][r].Coordinator, con[i][r].Coordinator)
+	base := run(1)
+	for _, workers := range []int{2, 3, 5} {
+		got := run(workers)
+		for i := range base {
+			if len(base[i]) != len(got[i]) {
+				t.Fatalf("workers=%d node %d: %d vs %d loop rounds", workers, i, len(base[i]), len(got[i]))
+			}
+			for r := range base[i] {
+				if base[i][r].Coordinator != got[i][r].Coordinator {
+					t.Fatalf("workers=%d node %d loop round %d: %v vs %v",
+						workers, i, r, base[i][r].Coordinator, got[i][r].Coordinator)
+				}
 			}
 		}
 	}

@@ -1,4 +1,4 @@
-// Test helpers implementing Step run under the same pooled runner and
+// Test helpers implementing Step run under the same round pipeline and
 // recycled buffers as production code: _test.go files get no exemption
 // from the buffer-recycling contract.
 package retain

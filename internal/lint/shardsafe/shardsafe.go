@@ -6,11 +6,11 @@
 //
 // and the pass proves that every write the body performs lands in
 // memory reachable only through that parameter. This is the static
-// half of the byte-identical-transcript contract: the concurrent
-// runner may execute shard tasks in any order on any worker, and the
-// result is indistinguishable from the sequential runner precisely
-// because no task writes state another task (or the merge phase)
-// reads before the barrier.
+// half of the byte-identical-transcript contract: the round pipeline
+// may execute shard tasks in any order on any worker, and the result
+// is indistinguishable from the inline cap-1 run precisely because no
+// task writes state another task (or the merge phase) reads before
+// the barrier.
 //
 // Write classification, per lvalue root:
 //

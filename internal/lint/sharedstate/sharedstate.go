@@ -1,11 +1,11 @@
 // Package sharedstate implements the ubalint pass enforcing the simnet
 // Process isolation contract: implementations "must be self-contained
-// (no shared mutable state with other processes) so that the pooled
-// concurrent runner can step them in parallel" (internal/simnet
-// Process docs). A Step body that writes a package-level variable is a
-// data race under the worker-pool runner that go test -race only
-// catches when the schedule cooperates — this pass catches it
-// statically, on every build.
+// (no shared mutable state with other processes) so that the round
+// pipeline can step them in parallel" (internal/simnet Process docs).
+// A Step body that writes a package-level variable is a data race at
+// any worker cap above 1 that go test -race only catches when the
+// schedule cooperates — this pass catches it statically, on every
+// build.
 //
 // The pass flags, inside any Step(env *simnet.RoundEnv) body (including
 // nested function literals):
@@ -43,7 +43,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "sharedstate",
 	Doc: "flag Process.Step bodies that write package-level mutable state, " +
-		"a data race under the pooled concurrent runner",
+		"a data race when the round pipeline steps nodes in parallel",
 	Run:      run,
 	Requires: []*analysis.Analyzer{summary.Analyzer},
 }
@@ -85,7 +85,7 @@ func (c *checker) check(body *ast.BlockStmt) {
 			for _, lhs := range n.Lhs {
 				if v := c.packageLevelRoot(lhs); v != nil {
 					c.sup.Reportf(lhs.Pos(),
-						"Step writes package-level variable %s: shared mutable state races under the pooled runner",
+						"Step writes package-level variable %s: shared mutable state races when nodes step in parallel",
 						v.Name())
 				} else if root := c.aliasRoot(lhs); root != nil {
 					// *p = v / p.f = v where p was bound to a global. A
@@ -93,7 +93,7 @@ func (c *checker) check(body *ast.BlockStmt) {
 					// rebinds the local and is not a write.
 					if _, plain := ast.Unparen(lhs).(*ast.Ident); !plain {
 						c.sup.Reportf(lhs.Pos(),
-							"Step writes through %s, which aliases package-level state: shared mutable state races under the pooled runner",
+							"Step writes through %s, which aliases package-level state: shared mutable state races when nodes step in parallel",
 							root.Name())
 					}
 				}
@@ -101,12 +101,12 @@ func (c *checker) check(body *ast.BlockStmt) {
 		case *ast.IncDecStmt:
 			if v := c.packageLevelRoot(n.X); v != nil {
 				c.sup.Reportf(n.Pos(),
-					"Step writes package-level variable %s: shared mutable state races under the pooled runner",
+					"Step writes package-level variable %s: shared mutable state races when nodes step in parallel",
 					v.Name())
 			} else if root := c.aliasRoot(n.X); root != nil {
 				if _, plain := ast.Unparen(n.X).(*ast.Ident); !plain {
 					c.sup.Reportf(n.Pos(),
-						"Step writes through %s, which aliases package-level state: shared mutable state races under the pooled runner",
+						"Step writes through %s, which aliases package-level state: shared mutable state races when nodes step in parallel",
 						root.Name())
 				}
 			}
@@ -126,7 +126,7 @@ func (c *checker) checkCall(n *ast.CallExpr) {
 			if b.Name() == "delete" && len(n.Args) == 2 {
 				if v := c.packageLevelRoot(n.Args[0]); v != nil {
 					c.sup.Reportf(n.Pos(),
-						"Step deletes from package-level map %s: shared mutable state races under the pooled runner",
+						"Step deletes from package-level map %s: shared mutable state races when nodes step in parallel",
 						v.Name())
 				}
 			}
@@ -139,7 +139,7 @@ func (c *checker) checkCall(n *ast.CallExpr) {
 	}
 	if c.sum.Of(callee).WritesGlobal {
 		c.sup.Reportf(n.Pos(),
-			"Step calls %s, which writes package-level state: shared mutable state races under the pooled runner",
+			"Step calls %s, which writes package-level state: shared mutable state races when nodes step in parallel",
 			callee.Name())
 	}
 }

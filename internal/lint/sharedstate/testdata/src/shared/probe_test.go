@@ -1,4 +1,4 @@
-// Test helpers implementing Step run under the same pooled runner:
+// Test helpers implementing Step run under the same round pipeline:
 // _test.go files get no exemption from the isolation contract.
 package shared
 

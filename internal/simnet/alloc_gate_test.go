@@ -9,7 +9,8 @@ import (
 // contract on the round hot path: after the warm-up rounds that grow
 // the recycled arenas to their high-water mark, a steady-state
 // account + route pass must perform zero heap allocations per round,
-// for both runners, across three network sizes.
+// at worker caps 1 (inline) and 4 (dispatched over the shared
+// scheduler), across three network sizes.
 //
 // The plan=idle variants re-certify the same bound with a fault plan
 // attached but never live: plan presence routes through the
@@ -28,18 +29,18 @@ func TestRouteHotPathZeroAlloc(t *testing.T) {
 		if plan != nil {
 			label = "plan=idle"
 		}
-		for _, concurrent := range []bool{false, true} {
+		for _, workers := range []int{1, 4} {
 			for _, n := range []int{256, 1024, 4096} {
-				t.Run(fmt.Sprintf("%s/concurrent=%v/n=%d", label, concurrent, n), func(t *testing.T) {
-					rp, err := NewRoundPhasesPlan(n, concurrent, plan)
+				t.Run(fmt.Sprintf("%s/workers=%d/n=%d", label, workers, n), func(t *testing.T) {
+					rp, err := NewRoundPhasesPlan(n, workers, plan)
 					if err != nil {
 						t.Fatal(err)
 					}
 					defer rp.Close()
 					// Warm-up: grow the broadcast block, unicast arena, shard
 					// table and done mask to their steady-state sizes, and let
-					// the runtime's channel/park caches populate for the
-					// pooled runner.
+					// the runtime's channel/park caches populate for
+					// dispatched phases.
 					for i := 0; i < 3; i++ {
 						rp.RouteOnly()
 					}
@@ -57,7 +58,7 @@ func TestRouteHotPathZeroAlloc(t *testing.T) {
 							deliveries, bcasts, int64(n)*int64(n), n)
 					}
 					if avg != 0 {
-						t.Errorf("steady-state route at n=%d (concurrent=%v, %s) allocates %.2f times per round, want 0 — the //lint:noalloc contract is broken at runtime", n, concurrent, label, avg)
+						t.Errorf("steady-state route at n=%d (workers=%d, %s) allocates %.2f times per round, want 0 — the //lint:noalloc contract is broken at runtime", n, workers, label, avg)
 					}
 				})
 			}

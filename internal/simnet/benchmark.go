@@ -33,22 +33,23 @@ func (c *ChatterProcess) Step(env *RoundEnv) {
 
 // NewBroadcastBench builds a network of n chatter processes with traffic
 // accounting attached — the standard fixture for BenchmarkRoundEngine*
-// and the `ubabench -benchjson` harness. maxRounds bounds RunRound calls.
+// and the `ubabench -benchjson` harness. maxRounds bounds RunRound calls;
+// workers is the network's Config.Workers cap (0 = the default cap).
 // Errors are returned, not panicked, so a campaign driver embedding the
 // fixture can fail one cell without killing the process.
-func NewBroadcastBench(n, maxRounds int, concurrent bool) (*Network, *trace.Collector, error) {
-	return newBroadcastBench(n, maxRounds, concurrent, nil)
+func NewBroadcastBench(n, maxRounds, workers int) (*Network, *trace.Collector, error) {
+	return newBroadcastBench(n, maxRounds, workers, nil)
 }
 
-func newBroadcastBench(n, maxRounds int, concurrent bool, plan *FaultPlan) (*Network, *trace.Collector, error) {
+func newBroadcastBench(n, maxRounds, workers int, plan *FaultPlan) (*Network, *trace.Collector, error) {
 	rng := rand.New(rand.NewSource(1))
 	nodeIDs := ids.Sparse(rng, n)
 	col := &trace.Collector{}
 	net := New(Config{
-		MaxRounds:  maxRounds,
-		Concurrent: concurrent,
-		Collector:  col,
-		FaultPlan:  plan,
+		MaxRounds: maxRounds,
+		Workers:   workers,
+		Collector: col,
+		FaultPlan: plan,
 	})
 	for _, id := range nodeIDs {
 		if err := net.Add(&ChatterProcess{Ident: id}); err != nil {
@@ -75,9 +76,10 @@ type RoundPhases struct {
 
 // NewRoundPhases builds the phase-split fixture: n chatter processes
 // plus a frozen template of one round's sends for RouteOnly. Like
-// NewBroadcastBench, failures are returned rather than panicked.
-func NewRoundPhases(n int, concurrent bool) (*RoundPhases, error) {
-	return NewRoundPhasesPlan(n, concurrent, nil)
+// NewBroadcastBench, failures are returned rather than panicked, and
+// workers is the network's Config.Workers cap.
+func NewRoundPhases(n, workers int) (*RoundPhases, error) {
+	return NewRoundPhasesPlan(n, workers, nil)
 }
 
 // NewRoundPhasesPlan is NewRoundPhases with a fault plan attached to
@@ -89,8 +91,8 @@ func NewRoundPhases(n int, concurrent bool) (*RoundPhases, error) {
 // perf-smoke plan rows and the zero-alloc gate both certify that cost
 // stays allocation-free; a nil plan compiles the plan machinery away
 // entirely (see Config.FaultPlan).
-func NewRoundPhasesPlan(n int, concurrent bool, plan *FaultPlan) (*RoundPhases, error) {
-	net, col, err := newBroadcastBench(n, DefaultMaxRounds, concurrent, plan)
+func NewRoundPhasesPlan(n, workers int, plan *FaultPlan) (*RoundPhases, error) {
+	net, col, err := newBroadcastBench(n, DefaultMaxRounds, workers, plan)
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +101,7 @@ func NewRoundPhasesPlan(n int, concurrent bool, plan *FaultPlan) (*RoundPhases, 
 	// pre-sort, pre-dedup stream, so every RouteOnly pays the full
 	// block-sort + dedup + classify + delivery cost of a live round.
 	net.round++
-	outs, _, err := rp.step()
+	outs, err := net.step()
 	if err != nil {
 		// Unreachable for chatter processes (no contact rule, no
 		// quotas), but returned so an embedding driver stays alive.
@@ -110,19 +112,12 @@ func NewRoundPhasesPlan(n int, concurrent bool, plan *FaultPlan) (*RoundPhases, 
 	return rp, nil
 }
 
-func (rp *RoundPhases) step() ([]send, int64, error) {
-	if rp.net.cfg.Concurrent {
-		return rp.net.stepConcurrent()
-	}
-	return rp.net.stepSequential()
-}
-
 // StepOnly runs one step phase (every process steps, sends are merged
 // in node order) without routing the result. Inboxes are empty, as in
 // the first round of the full benchmark.
 func (rp *RoundPhases) StepOnly() error {
 	rp.net.round++
-	_, _, err := rp.step()
+	_, err := rp.net.step()
 	return err
 }
 
@@ -142,11 +137,11 @@ func (rp *RoundPhases) RouteOnly() {
 	rp.col.AddRound(rp.net.round, acct.Broadcasts, acct.Unicasts, deliveries, bytes)
 }
 
-// Close releases the underlying network's worker pool, if any.
+// Close retires the underlying network and recycles its scratch.
 func (rp *RoundPhases) Close() { rp.net.Close() }
 
 // CampaignBench is the campaign-scale throughput fixture: jobs
-// independent sequential chatter networks multiplexed over one bounded
+// independent single-worker chatter networks multiplexed over one bounded
 // scheduler, exactly the shape chaos.RunCampaign and `ubasweep -jobs`
 // put on the engine. One RunChunk advances every simulation by a fixed
 // number of rounds through a single scheduler phase (cap = jobs), so a
@@ -166,8 +161,9 @@ type CampaignBench struct {
 	phase sched.Phase
 }
 
-// NewCampaignBench builds jobs sequential broadcast-bench networks of n
-// chatter processes each. Failures are returned, not panicked, matching
+// NewCampaignBench builds jobs broadcast-bench networks of n chatter
+// processes each, every one capped at a single worker so its rounds run
+// inline on whichever goroutine claimed its campaign index. Failures are returned, not panicked, matching
 // the other fixtures in this file.
 func NewCampaignBench(jobs, n int) (*CampaignBench, error) {
 	cb := &CampaignBench{
@@ -176,7 +172,7 @@ func NewCampaignBench(jobs, n int) (*CampaignBench, error) {
 		errs:  make([]error, jobs),
 	}
 	for j := range cb.nets {
-		net, _, err := NewBroadcastBench(n, DefaultMaxRounds, false)
+		net, _, err := NewBroadcastBench(n, DefaultMaxRounds, 1)
 		if err != nil {
 			cb.Close()
 			return nil, err
@@ -187,10 +183,9 @@ func NewCampaignBench(jobs, n int) (*CampaignBench, error) {
 }
 
 // Run advances one simulation by the current chunk; it is the
-// sched.Task body of the campaign phase. Each network is sequential, so
-// the rounds run inline on whichever worker (or submitter) claimed the
-// index — parallelism comes only from the campaign layer, as in a real
-// chaos campaign of sequential cells.
+// sched.Task body of the campaign phase. Each network is capped at one
+// worker, so the rounds run inline on whichever worker (or submitter)
+// claimed the index — parallelism comes only from the campaign layer.
 func (cb *CampaignBench) Run(i int) {
 	net := cb.nets[i]
 	for r := 0; r < cb.chunk; r++ {

@@ -15,13 +15,12 @@ import (
 // This file asserts the engine-level determinism contract the sharded
 // route pipeline must preserve: the EventLog transcript, the Collector
 // report (totals and per-round breakdown), and every process's
-// observed deliveries are identical between the sequential runner and
-// the pooled concurrent runner — for any worker count, and across
-// repeated runs of the same worker count (i.e. independent of worker
-// scheduling). The facade-level matrix across adversaries and
-// protocols lives in runner_equivalence_test.go; this one forces
-// multi-worker pools so sharded delivery is exercised even on a
-// single-core host.
+// observed deliveries are identical for every worker cap — the inline
+// cap-1 pipeline against pooled caps — and across repeated runs of the
+// same cap (i.e. independent of worker scheduling). The facade-level
+// matrix across adversaries and protocols lives in
+// runner_equivalence_test.go; this one forces multi-worker pools so
+// sharded delivery is exercised even on a single-core host.
 
 // determinismOutcome is everything observable about one engine run.
 type determinismOutcome struct {
@@ -31,7 +30,8 @@ type determinismOutcome struct {
 }
 
 // runDeterminismWorkload executes the named workload with the given
-// worker count (0 = sequential) and captures the full observable state.
+// worker cap (forced on a private scheduler; 0 = the Config default)
+// and captures the full observable state.
 func runDeterminismWorkload(t *testing.T, workload string, seed int64, workers int) determinismOutcome {
 	t.Helper()
 	log := trace.NewEventLog(500_000)
@@ -43,9 +43,9 @@ func runDeterminismWorkload(t *testing.T, workload string, seed int64, workers i
 		cfg.SendQuota = 4
 	}
 	net := New(cfg)
+	defer net.Close()
 	if workers > 0 {
 		net.forceWorkers(workers)
-		defer net.Close()
 	}
 	rng := rand.New(rand.NewSource(seed))
 	nodeIDs := ids.Sparse(rng, 14)
@@ -171,11 +171,11 @@ func (s *sparseMix) Step(env *RoundEnv) {
 	}
 }
 
-// TestEngineDeterminismAcrossWorkerCounts runs each workload
-// sequentially and on 1-, 2-, 3- and 5-worker pools and asserts the
-// complete observable state is identical, then repeats one pooled
-// configuration to assert schedule-independence within a fixed worker
-// count.
+// TestEngineDeterminismAcrossWorkerCounts runs each workload inline
+// (cap 1), at the default cap, and on 2-, 3- and 5-worker pools and
+// asserts the complete observable state is identical, then repeats one
+// pooled configuration to assert schedule-independence within a fixed
+// worker count.
 func TestEngineDeterminismAcrossWorkerCounts(t *testing.T) {
 	t.Parallel()
 	for _, workload := range []string{"gossip", "chatter", "sparsemix", "panicky"} {
@@ -183,11 +183,11 @@ func TestEngineDeterminismAcrossWorkerCounts(t *testing.T) {
 			workload, seed := workload, seed
 			t.Run(fmt.Sprintf("%s/seed=%d", workload, seed), func(t *testing.T) {
 				t.Parallel()
-				base := runDeterminismWorkload(t, workload, seed, 0)
+				base := runDeterminismWorkload(t, workload, seed, 1)
 				if len(base.events) == 0 {
-					t.Fatal("sequential run recorded no deliveries; comparison is vacuous")
+					t.Fatal("inline run recorded no deliveries; comparison is vacuous")
 				}
-				for _, workers := range []int{1, 2, 3, 5} {
+				for _, workers := range []int{0, 2, 3, 5} {
 					got := runDeterminismWorkload(t, workload, seed, workers)
 					diffOutcomes(t, fmt.Sprintf("workers=%d", workers), base, got)
 				}

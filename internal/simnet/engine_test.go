@@ -123,11 +123,11 @@ func TestIdenticalUnicastsToDistinctReceiversBothDeliver(t *testing.T) {
 }
 
 // Close detaches the scheduler binding, parks the round scratch in the
-// recycling pool, and is safe to call twice; a sequential network's
-// Close recycles scratch too (that is the campaign-cell fast path).
+// recycling pool, and is safe to call twice, also on a network that
+// never ran a round.
 func TestCloseReleasesSchedulerAndScratch(t *testing.T) {
 	t.Parallel()
-	net := New(Config{Concurrent: true})
+	net := New(Config{})
 	for i := ids.ID(1); i <= 4; i++ {
 		if err := net.Add(newRecorder(i, func(env *RoundEnv) { env.Broadcast(body("x")) })); err != nil {
 			t.Fatal(err)
@@ -135,7 +135,7 @@ func TestCloseReleasesSchedulerAndScratch(t *testing.T) {
 	}
 	mustRounds(t, net, 3)
 	if net.sched == nil {
-		t.Fatal("concurrent round did not bind the network to a scheduler")
+		t.Fatal("a round did not bind the network to a scheduler")
 	}
 	net.Close()
 	if net.sched != nil {
@@ -146,16 +146,64 @@ func TestCloseReleasesSchedulerAndScratch(t *testing.T) {
 	}
 	net.Close() // idempotent
 
-	seq := New(Config{})
-	seq.Close() // never ran a round: still safe
+	idle := New(Config{})
+	idle.Close() // never ran a round: still safe
 }
 
-// On a worker error the concurrent merge must clear every result slot:
-// a stale slot would keep its sends slice — and the payloads it
-// references — alive across rounds after the network latched the error.
+// Close zeroes every live node's inbox view — the views alias the
+// scratch Close parks in the process-wide pool, where another network
+// may adopt and overwrite it — and a closed network rejects further
+// rounds with ErrClosed instead of handing stale views to Step.
+func TestCloseZeroesInboxesAndRejectsRounds(t *testing.T) {
+	t.Parallel()
+	for _, workers := range []int{1, 3} {
+		net := New(Config{})
+		net.forceWorkers(workers)
+		for i := ids.ID(1); i <= 4; i++ {
+			if err := net.Add(newRecorder(i, func(env *RoundEnv) { env.Broadcast(body("x")) })); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mustRounds(t, net, 1) // the recorders broadcast in round 1 only
+		for _, st := range net.live {
+			if st.inbox.Len() == 0 {
+				t.Fatalf("workers=%d: node %v has no pending inbox before Close; the check is vacuous", workers, st.id)
+			}
+		}
+		net.Close()
+		for _, st := range net.live {
+			if st.inbox.Len() != 0 || st.inbox.bcast != nil || st.inbox.uni != nil {
+				t.Fatalf("workers=%d: node %v kept an inbox view over recycled scratch after Close", workers, st.id)
+			}
+		}
+		if err := net.RunRound(); !errors.Is(err, ErrClosed) {
+			t.Fatalf("workers=%d: RunRound after Close = %v, want ErrClosed", workers, err)
+		}
+		if _, err := net.Run(func(*Network) bool { return true }); !errors.Is(err, ErrClosed) {
+			t.Fatalf("workers=%d: Run after Close = %v, want ErrClosed", workers, err)
+		}
+		if net.Round() != 1 {
+			t.Fatalf("workers=%d: a rejected round advanced the counter to %d", workers, net.Round())
+		}
+	}
+}
+
+// On a Step error the step merge must clear every result slot, at every
+// worker cap (cap 1 fills the slots inline): a stale slot would keep its
+// sends slice — and the payloads it references — alive across rounds
+// after the network latched the error.
 func TestStepConcurrentErrorClearsResultSlices(t *testing.T) {
 	t.Parallel()
-	net := New(Config{Concurrent: true, EnforceContactRule: true})
+	for _, workers := range []int{1, 3} {
+		stepErrorClearsSlots(t, workers)
+	}
+}
+
+func stepErrorClearsSlots(t *testing.T, workers int) {
+	t.Helper()
+	net := New(Config{EnforceContactRule: true})
+	defer net.Close()
+	net.forceWorkers(workers)
 	// Three well-behaved broadcasters around one violator, so slots on
 	// both sides of the erroring node hold sends when the round aborts.
 	for i := ids.ID(1); i <= 4; i++ {
@@ -169,13 +217,12 @@ func TestStepConcurrentErrorClearsResultSlices(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	defer net.Close()
 	if err := net.RunRound(); !errors.Is(err, ErrContactRule) {
-		t.Fatalf("err = %v, want ErrContactRule", err)
+		t.Fatalf("workers=%d: err = %v, want ErrContactRule", workers, err)
 	}
 	for i := range net.results {
 		if net.results[i].sends != nil {
-			t.Fatalf("result slot %d retains its sends slice after an aborted round", i)
+			t.Fatalf("workers=%d: result slot %d retains its sends slice after an aborted round", workers, i)
 		}
 	}
 }

@@ -16,8 +16,8 @@ import (
 // Config schedules partitions, per-link loss/duplication/corruption,
 // within-round reordering, crash/recover churn, late joins, and quota
 // changes — all deterministic functions of (plan, round, send index,
-// receiver), so a faulty execution replays bit-exactly for both runners
-// and every worker count.
+// receiver), so a faulty execution replays bit-exactly for every worker
+// cap.
 //
 // Determinism argument. Plan events apply at the start of RunRound, on
 // the driving goroutine, in (round, plan order) — before any worker
@@ -111,8 +111,7 @@ type FaultEvent struct {
 // FaultPlan is a deterministic, round-scheduled fault schedule for one
 // run. It is serializable (chaos repro files embed it) and immutable
 // once handed to New: the same plan against the same processes yields
-// byte-identical transcripts for both runners, every worker count, and
-// every job count.
+// byte-identical transcripts for every worker cap and every job count.
 type FaultPlan struct {
 	// Seed drives every probabilistic fault decision through a
 	// stateless hash — there is no PRNG stream to perturb, so plans

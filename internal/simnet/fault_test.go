@@ -18,16 +18,17 @@ import (
 // worker counts and concurrent jobs), and the quota × crash interplay.
 
 // runFaultWorkload runs the sparsemix workload under the given plan and
-// captures the observable state. workers == 0 selects the sequential
-// runner.
+// captures the observable state. workers > 0 forces that worker cap on
+// a private scheduler (1 is the inline baseline); 0 keeps the Config
+// default.
 func runFaultWorkload(t *testing.T, plan *FaultPlan, seed int64, workers, rounds int) determinismOutcome {
 	t.Helper()
 	log := trace.NewEventLog(500_000)
 	col := &trace.Collector{}
 	net := New(Config{MaxRounds: rounds + 1, EventLog: log, Collector: col, FaultPlan: plan})
+	defer net.Close()
 	if workers > 0 {
 		net.forceWorkers(workers)
-		defer net.Close()
 	}
 	rng := rand.New(rand.NewSource(seed))
 	nodeIDs := ids.Sparse(rng, 12)
@@ -86,7 +87,8 @@ func nontrivialPlan(nodeIDs []ids.ID) *FaultPlan {
 // TestFaultPlanDeterminism asserts the acceptance-criteria contract:
 // with a non-trivial fault plan active, the transcript, the traffic
 // report and every process's observed deliveries are byte-identical
-// across worker counts {0,1,2,3,5}, and stable across repeats.
+// across worker caps {1,0,2,3,5} (0 = the default cap), and stable
+// across repeats.
 func TestFaultPlanDeterminism(t *testing.T) {
 	t.Parallel()
 	for seed := int64(1); seed <= 2; seed++ {
@@ -94,7 +96,7 @@ func TestFaultPlanDeterminism(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			plan := nontrivialPlan(faultPlanIDs(seed))
-			base := runFaultWorkload(t, plan, seed, 0, 10)
+			base := runFaultWorkload(t, plan, seed, 1, 10)
 			if len(base.events) == 0 {
 				t.Fatal("fault run recorded no events; comparison is vacuous")
 			}
@@ -110,7 +112,7 @@ func TestFaultPlanDeterminism(t *testing.T) {
 			if faults < 10 {
 				t.Fatalf("plan injected only %d fault events; workload too tame to certify determinism", faults)
 			}
-			for _, workers := range []int{1, 2, 3, 5} {
+			for _, workers := range []int{0, 2, 3, 5} {
 				got := runFaultWorkload(t, plan, seed, workers, 10)
 				diffOutcomes(t, fmt.Sprintf("workers=%d", workers), base, got)
 			}
@@ -122,13 +124,13 @@ func TestFaultPlanDeterminism(t *testing.T) {
 
 // TestFaultPlanJobsDeterminism re-runs the non-trivial plan as several
 // concurrent jobs multiplexed over one bounded scheduler (the campaign
-// shape) and asserts every job reproduces the sequential transcript,
-// for scheduler budgets {1, 4}.
+// shape) and asserts every job, each at the default worker cap,
+// reproduces the inline transcript, for scheduler budgets {1, 4}.
 func TestFaultPlanJobsDeterminism(t *testing.T) {
 	t.Parallel()
 	const seed = int64(1)
 	plan := nontrivialPlan(faultPlanIDs(seed))
-	base := runFaultWorkload(t, plan, seed, 0, 10)
+	base := runFaultWorkload(t, plan, seed, 1, 10)
 	for _, budget := range []int{1, 4} {
 		jobs := faultJobs{
 			t:    t,
@@ -576,7 +578,7 @@ func (f *floodPanic) Step(env *RoundEnv) {
 // TestQuotaCrashSameRoundOrdering is the SendQuota × crash interplay
 // contract: a node that panics in the same round it exceeds its quota
 // produces quota-drop then node-crashed, adjacent and in that order, in
-// byte-identical transcripts across worker counts {0,1,3,5} and
+// byte-identical transcripts across worker caps {1,0,3,5} and
 // concurrent jobs {1,4}.
 func TestQuotaCrashSameRoundOrdering(t *testing.T) {
 	t.Parallel()
@@ -584,9 +586,9 @@ func TestQuotaCrashSameRoundOrdering(t *testing.T) {
 	run := func(workers int) []trace.Event {
 		log := trace.NewEventLog(0)
 		net := New(Config{MaxRounds: 8, EventLog: log, SendQuota: 2})
+		defer net.Close()
 		if workers > 0 {
 			net.forceWorkers(workers)
-			defer net.Close()
 		}
 		if err := net.Add(&floodPanic{
 			flood: flood{Ident: 11, Peers: peers, Count: 3},
@@ -602,7 +604,7 @@ func TestQuotaCrashSameRoundOrdering(t *testing.T) {
 		mustRounds(t, net, 4)
 		return log.Events()
 	}
-	base := run(0)
+	base := run(1)
 	idx := -1
 	for i, e := range base {
 		if e.Round == 2 && e.Kind == trace.KindQuotaDrop && e.From == 11 {
@@ -620,10 +622,10 @@ func TestQuotaCrashSameRoundOrdering(t *testing.T) {
 	if base[idx].Size != 7 {
 		t.Fatalf("quota-drop of %d sends, want 7", base[idx].Size)
 	}
-	for _, workers := range []int{1, 3, 5} {
+	for _, workers := range []int{0, 3, 5} {
 		got := run(workers)
 		if fmt.Sprint(got) != fmt.Sprint(base) {
-			t.Fatalf("workers=%d: transcript differs from sequential", workers)
+			t.Fatalf("workers=%d: transcript differs from the inline run", workers)
 		}
 	}
 	for _, budget := range []int{1, 4} {

@@ -41,23 +41,24 @@
 //     boundary, the feed for the online safety oracles in
 //     internal/oracle.
 //
-// Two runners execute the same process state machines: a deterministic
-// sequential runner and a persistent worker-pool runner that shards
+// One round pipeline executes the process state machines. It shards
 // both halves of a round — the step phase over nodes and the
-// route/delivery phase over receivers — with a barrier between them.
-// Both produce byte-identical executions, which the test suite asserts.
-// The determinism argument: (1) pooled workers write each node's sends
-// into a per-node slot and the merge reads slots in node order, so the
-// routed send stream is independent of worker scheduling; (2) routing
+// route/delivery phase over receivers — across at most Config.Workers
+// goroutines of the shared scheduler, with a barrier between them; at a
+// cap of 1 both phases run inline on the calling goroutine. Every cap
+// produces a byte-identical execution, which the test suite asserts by
+// sweeping caps. The determinism argument: (1) step tasks write each
+// node's sends into a per-node slot and the merge reads slots in node
+// order, so the routed send stream is independent of worker
+// scheduling; (2) routing
 // decisions (sort, dedup, arena sizing) all happen in a single
 // deterministic prepare pass before any worker runs; (3) each delivery
 // worker owns a contiguous, disjoint range of receivers — inbox
 // segments, contact sets, event buffers, and traffic tallies are all
-// per-shard — and shard boundaries depend only on the worker count and
+// per-shard — and shard boundaries depend only on the worker cap and
 // receiver count, never on timing; (4) per-shard results are reduced in
 // shard order, which is receiver order, so transcripts and reports are
-// identical for every worker count (including the sequential runner,
-// which is the one-shard instance of the same pipeline).
+// identical for every worker cap (cap 1 is the one-shard instance).
 //
 // # Sparse delivery and the buffer-recycling contract
 //
@@ -146,7 +147,7 @@ func digest64(b []byte) uint64 {
 // at the start of a round: a lazy merge of the round's shared broadcast
 // block with the receiver's private unicast segment. The merged order
 // is by sender id and then by canonical encoding (deterministic for
-// both runners), and duplicates from the same sender have already been
+// every worker cap), and duplicates from the same sender have already been
 // discarded — identical to the fully materialized inboxes it replaced,
 // without the O(n·B) copies.
 //
@@ -276,8 +277,8 @@ type RoundEnv struct {
 	// Round is the 1-based global round number.
 	Round int
 	// Inbox is the view of the messages delivered this round, sorted by
-	// sender id and then by canonical encoding (deterministic for both
-	// runners). Duplicates from the same sender have been discarded.
+	// sender id and then by canonical encoding (deterministic for every
+	// worker cap). Duplicates from the same sender have been discarded.
 	Inbox Inbox
 
 	self  ids.ID
@@ -315,8 +316,8 @@ func (env *RoundEnv) Send(to ids.ID, p wire.Payload) {
 
 // Process is a node state machine driven by the network: one Step call per
 // round. Implementations must be self-contained (no shared mutable state
-// with other processes) so that the pooled concurrent runner can step them
-// in parallel, and must not retain env or env.Inbox past the Step call
+// with other processes) so that the round pipeline can step them in
+// parallel, and must not retain env or env.Inbox past the Step call
 // (the engine recycles both; see the package docs). Both contracts are
 // machine-checked by the ubalint passes sharedstate and retainenv
 // (internal/lint; run with `make lint`, documented in DESIGN.md §8).

@@ -21,6 +21,8 @@ var (
 	// ErrContactRule reports a unicast from a correct process to a node
 	// that never messaged it, which the paper's model forbids.
 	ErrContactRule = errors.New("simnet: unicast to unknown contact")
+	// ErrClosed reports a round requested from a Network after Close.
+	ErrClosed = errors.New("simnet: network closed")
 )
 
 // Config parameterizes a Network.
@@ -29,13 +31,12 @@ type Config struct {
 	// repository terminate in O(n) rounds, so the bound exists only to
 	// turn a protocol bug into a test failure instead of a hang.
 	MaxRounds int
-	// Concurrent selects the pooled worker runner instead of the
-	// sequential one. Both produce identical executions.
-	Concurrent bool
-	// Workers, when positive, fixes the concurrent runner's pool size;
-	// zero means GOMAXPROCS capped at the number of live processes. The
-	// execution is identical for every worker count — the knob exists
-	// for capacity tuning and for equivalence tests that sweep it.
+	// Workers, when positive, caps how many goroutines may drain one of
+	// the network's round phases (step-by-node, route-by-shard) at once;
+	// zero means GOMAXPROCS capped at the number of live processes. A
+	// cap of 1 runs both phases inline on the calling goroutine. The
+	// execution is identical for every cap — the knob exists for
+	// capacity tuning and for equivalence tests that sweep it.
 	Workers int
 	// EnforceContactRule makes the engine verify that correct processes
 	// unicast only to nodes that previously messaged them. Violations
@@ -50,9 +51,9 @@ type Config struct {
 	// every delivery (for debugging and the ubasim -trace flag). The
 	// canonical transcript order is receiver-major: per round,
 	// deliveries are grouped by receiver in ascending node order, each
-	// receiver's messages in its inbox order. Both runners produce the
-	// same transcript for any worker count (per-shard event buffers are
-	// merged in receiver order; see route.go). Fault-containment events
+	// receiver's messages in its inbox order. The transcript is the
+	// same for every worker cap (per-shard event buffers are merged in
+	// receiver order; see route.go). Fault-containment events
 	// (trace.KindNodeCrashed, trace.KindQuotaDrop) are recorded in node
 	// order at the start of the round they occurred in, before that
 	// round's deliveries.
@@ -88,8 +89,9 @@ type Config struct {
 // RoundObserver receives each completed round's trace events — the
 // attachment point for online safety monitors. ObserveRound is called
 // once per successful round, from the goroutine driving the network,
-// for both the sequential and the concurrent runner. The events slice
-// is valid only for the duration of the call.
+// after the round's phase barriers — whatever the worker cap, it never
+// runs concurrently with a Step. The events slice is valid only for
+// the duration of the call.
 type RoundObserver interface {
 	ObserveRound(round int, events []trace.Event)
 }
@@ -160,10 +162,11 @@ type procState struct {
 	sendBuf []send
 }
 
-// stepResult is one process's contribution to a round, produced by either
-// runner and merged in node order. Containment outcomes (a contained
-// panic, a quota drop) travel through it so the merge can emit their
-// trace events in node order regardless of worker scheduling.
+// stepResult is one process's contribution to a round, written to the
+// node's result slot by the step phase and merged in node order.
+// Containment outcomes (a contained panic, a quota drop) travel through
+// it so the merge can emit their trace events in node order regardless
+// of worker scheduling.
 type stepResult struct {
 	sends []send
 	err   error
@@ -191,7 +194,8 @@ type CrashRecord struct {
 
 // Network owns a set of processes and runs them in lock-step rounds.
 // Methods are not safe for concurrent use; drive a Network from one
-// goroutine (the concurrent runner parallelizes internally).
+// goroutine (the round pipeline parallelizes internally, up to the
+// worker cap).
 type Network struct {
 	cfg   Config
 	procs map[ids.ID]*procState
@@ -238,10 +242,10 @@ type Network struct {
 	uniLive    int
 	shards     []routeShard
 
-	// Concurrent-runner dispatch state (see runner.go): the scheduler
-	// this network submits phases to (bound lazily to sched.Default
-	// unless a test injects a private one), the reusable Phase record
-	// and phase-tagged task, and the lifecycle flags Close manages.
+	// Phase dispatch state (see runner.go): the scheduler this network
+	// submits phases to (bound lazily to sched.Default unless a test
+	// injects a private one), the reusable Phase record and
+	// phase-tagged task, and the lifecycle flags Close manages.
 	sched      *sched.Scheduler
 	ownsSched  bool
 	closed     bool
@@ -358,26 +362,25 @@ func (n *Network) Process(id ids.ID) Process {
 // unreachable from this round on — with a trace.KindNodeCrashed event
 // recorded (see Crashes for the panic values). Because recovery happens
 // before the node-order merge, transcripts stay byte-identical across
-// worker counts.
+// worker caps.
+//
+// RunRound on a closed network returns ErrClosed.
 func (n *Network) RunRound() error {
+	if n.closed {
+		return ErrClosed
+	}
 	if n.err != nil {
 		return n.err
 	}
 	n.round++
 	if n.faults != nil {
 		// Plan events apply before stepping, on this goroutine, so
-		// crash/recover/join/quota effects are visible to every runner
-		// identically and their trace events head the round's record.
+		// crash/recover/join/quota effects are identical for every
+		// worker cap and their trace events head the round's record.
 		n.applyFaultEvents()
 	}
 
-	var outs []send
-	var err error
-	if n.cfg.Concurrent {
-		outs, _, err = n.stepConcurrent()
-	} else {
-		outs, _, err = n.stepSequential()
-	}
+	outs, err := n.step()
 	if err != nil {
 		n.err = err
 		return err
@@ -469,7 +472,7 @@ func (n *Network) foldCorrectMax(acct *RoundAccounting, from ids.ID, b, u int) {
 
 // noteResult folds one node's step outcome into the round: containment
 // events are appended in call — i.e. node — order, and contained
-// panics are recorded. Shared by both runners' node-order merges.
+// panics are recorded. Called from the step merge, in node order.
 //
 //lint:noalloc appends land in recycled round scratch; in a fault-free steady state both branches are untaken
 func (n *Network) noteResult(st *procState, res *stepResult) {
@@ -492,33 +495,14 @@ func (n *Network) noteResult(st *procState, res *stepResult) {
 	}
 }
 
-// stepSequential steps every live process in node order and merges the
-// send buffers into the recycled outs scratch.
+// step runs the step phase: it dispatches every live process to its
+// result slot (inline at a worker cap of 1, over the shared scheduler
+// otherwise) and merges the per-process send buffers in node order, so
+// the resulting outs slice is byte-identical for every cap. On a Step
+// error it returns the first error in node order.
 //
-//lint:noalloc the sequential step merge appends into the network's recycled outs buffer
-func (n *Network) stepSequential() ([]send, int64, error) {
-	outs := n.outs[:0]
-	n.stepEvents = n.stepEvents[:0]
-	var sends int64
-	for _, st := range n.live {
-		res := n.stepOne(st)
-		if res.err != nil {
-			return nil, 0, res.err
-		}
-		n.noteResult(st, &res)
-		sends += int64(len(res.sends))
-		outs = append(outs, res.sends...)
-	}
-	n.outs = outs
-	return outs, sends, nil
-}
-
-// stepConcurrent fans the live processes out over the shared scheduler
-// and merges the per-process send buffers in node order, so the
-// resulting outs slice is byte-identical to the sequential runner's.
-//
-//lint:noalloc the pooled step merge reuses the results table (capacity-guarded) and the recycled outs buffer
-func (n *Network) stepConcurrent() ([]send, int64, error) {
+//lint:noalloc the step merge reuses the results table (capacity-guarded) and the recycled outs buffer
+func (n *Network) step() ([]send, error) {
 	if cap(n.results) < len(n.live) {
 		n.results = make([]stepResult, len(n.live))
 	}
@@ -527,16 +511,14 @@ func (n *Network) stepConcurrent() ([]send, int64, error) {
 
 	outs := n.outs[:0]
 	n.stepEvents = n.stepEvents[:0]
-	var sends int64
 	var firstErr error
 	for i := range results {
 		res := &results[i]
 		if res.err != nil && firstErr == nil {
-			firstErr = res.err // first error in node order, like the sequential runner
+			firstErr = res.err
 		}
 		if firstErr == nil {
 			n.noteResult(n.live[i], res)
-			sends += int64(len(res.sends))
 			outs = append(outs, res.sends...)
 		}
 		// Clear every slot even on the error path: a stale slot would
@@ -546,9 +528,9 @@ func (n *Network) stepConcurrent() ([]send, int64, error) {
 	}
 	n.outs = outs
 	if firstErr != nil {
-		return nil, 0, firstErr
+		return nil, firstErr
 	}
-	return outs, sends, nil
+	return outs, nil
 }
 
 // stepOne steps a single process with its pending inbox. It is safe to
@@ -636,8 +618,8 @@ func safeStep(p Process, env *RoundEnv) (reason string, panicked bool) {
 // applyQuota truncates a node's send queue to the configured per-round
 // send and byte quotas: the longest prefix within both budgets survives,
 // in queue order, so the drop decision is a pure function of the queue —
-// identical for both runners and every worker count. It returns the
-// surviving prefix and the number of dropped sends.
+// identical for every worker cap. It returns the surviving prefix and
+// the number of dropped sends.
 //
 //lint:noalloc quota truncation slices and clears the caller's buffer in place
 func (n *Network) applyQuota(sends []send) ([]send, int) {

@@ -391,8 +391,8 @@ func TestInboxIsSortedBySenderThenEncoding(t *testing.T) {
 	}
 }
 
-// gossip is a deterministic pseudo-random protocol used to compare the
-// sequential and concurrent runners on a non-trivial execution.
+// gossip is a deterministic pseudo-random protocol used to compare
+// worker caps on a non-trivial execution.
 type gossip struct {
 	id    ids.ID
 	rng   *rand.Rand
@@ -422,11 +422,13 @@ func (g *gossip) Step(env *RoundEnv) {
 	}
 }
 
-func runGossip(t *testing.T, concurrent bool, seed int64) map[ids.ID][]string {
+func runGossip(t *testing.T, workers int, seed int64) map[ids.ID][]string {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	nodeIDs := ids.Sparse(rng, 12)
-	net := New(Config{Concurrent: concurrent, MaxRounds: 20})
+	net := New(Config{MaxRounds: 20})
+	defer net.Close()
+	net.forceWorkers(workers)
 	procs := make([]*gossip, 0, len(nodeIDs))
 	for i, id := range nodeIDs {
 		g := &gossip{
@@ -450,25 +452,27 @@ func runGossip(t *testing.T, concurrent bool, seed int64) map[ids.ID][]string {
 }
 
 // The observable execution (every delivery at every node, in order) must
-// be identical under the sequential and the pooled concurrent runner.
+// be identical inline (cap 1) and on pooled caps {2, 3, 5}.
 func TestSequentialAndConcurrentRunnersAgree(t *testing.T) {
 	t.Parallel()
 	for seed := int64(1); seed <= 5; seed++ {
-		seq := runGossip(t, false, seed)
-		con := runGossip(t, true, seed)
-		if len(seq) != len(con) {
-			t.Fatalf("seed %d: node count mismatch", seed)
-		}
-		for id, logSeq := range seq {
-			logCon := con[id]
-			if len(logSeq) != len(logCon) {
-				t.Fatalf("seed %d node %v: %d vs %d deliveries",
-					seed, id, len(logSeq), len(logCon))
+		base := runGossip(t, 1, seed)
+		for _, workers := range []int{2, 3, 5} {
+			got := runGossip(t, workers, seed)
+			if len(base) != len(got) {
+				t.Fatalf("seed %d workers=%d: node count mismatch", seed, workers)
 			}
-			for i := range logSeq {
-				if logSeq[i] != logCon[i] {
-					t.Fatalf("seed %d node %v delivery %d: %q vs %q",
-						seed, id, i, logSeq[i], logCon[i])
+			for id, want := range base {
+				log := got[id]
+				if len(want) != len(log) {
+					t.Fatalf("seed %d workers=%d node %v: %d vs %d deliveries",
+						seed, workers, id, len(want), len(log))
+				}
+				for i := range want {
+					if want[i] != log[i] {
+						t.Fatalf("seed %d workers=%d node %v delivery %d: %q vs %q",
+							seed, workers, id, i, want[i], log[i])
+					}
 				}
 			}
 		}

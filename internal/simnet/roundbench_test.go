@@ -15,26 +15,27 @@ var benchNs = []int{32, 128, 256, 512, 1024, 2048}
 // (n=256 is the size the CI perf smoke tracks).
 var phaseNs = []int{256, 512, 1024}
 
+// workerCaps is the worker axis every round benchmark sweeps: the
+// inline cap-1 pipeline ("workers=1/…") and the default cap, GOMAXPROCS
+// capped at the live process count (no prefix). BENCH_simnet.json rows
+// carry the same labels.
+var workerCaps = []struct {
+	prefix  string
+	workers int
+}{{"workers=1/", 1}, {"", 0}}
+
 // BenchmarkRoundEngine is the canonical broadcast-heavy hot-path bench:
 // every node broadcasts every round, so one op is one round with n sends
-// and n² deliveries through dedup, routing, and traffic accounting.
-// `make bench-json` runs the same workload via cmd/ubabench and records
-// the trajectory in BENCH_simnet.json.
+// and n² deliveries through dedup, routing, and traffic accounting, at
+// each worker cap. `make bench-json` runs the same workload via
+// cmd/ubabench and records the trajectory in BENCH_simnet.json.
 func BenchmarkRoundEngine(b *testing.B) {
-	for _, n := range benchNs {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			benchRounds(b, n, false)
-		})
-	}
-}
-
-// BenchmarkRoundEngineConcurrent is the same workload on the pooled
-// concurrent runner.
-func BenchmarkRoundEngineConcurrent(b *testing.B) {
-	for _, n := range benchNs {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			benchRounds(b, n, true)
-		})
+	for _, wc := range workerCaps {
+		for _, n := range benchNs {
+			b.Run(fmt.Sprintf("%sn=%d", wc.prefix, n), func(b *testing.B) {
+				benchRounds(b, n, wc.workers)
+			})
+		}
 	}
 }
 
@@ -46,20 +47,17 @@ func BenchmarkRoundEngineConcurrent(b *testing.B) {
 // in near-linear time. `make bench-sparse` runs this subset under a
 // wall-clock budget and CI uploads the output as an artifact.
 func BenchmarkRoundEngineSparse(b *testing.B) {
-	for _, runner := range []struct {
-		name       string
-		concurrent bool
-	}{{"sequential", false}, {"concurrent", true}} {
+	for _, wc := range workerCaps {
 		for _, n := range []int{4096, 8192} {
-			b.Run(fmt.Sprintf("%s/n=%d", runner.name, n), func(b *testing.B) {
-				benchRounds(b, n, runner.concurrent)
+			b.Run(fmt.Sprintf("%sn=%d", wc.prefix, n), func(b *testing.B) {
+				benchRounds(b, n, wc.workers)
 			})
 		}
 	}
 }
 
-func benchRounds(b *testing.B, n int, concurrent bool) {
-	net, _, err := NewBroadcastBench(n, b.N+2, concurrent)
+func benchRounds(b *testing.B, n, workers int) {
+	net, _, err := NewBroadcastBench(n, b.N+2, workers)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -83,24 +81,13 @@ func benchRounds(b *testing.B, n int, concurrent bool) {
 // BenchmarkStepPhase measures only the step half of a round (process
 // state machines plus the node-order merge), isolating it from routing.
 func BenchmarkStepPhase(b *testing.B) {
-	benchPhase(b, false, (*RoundPhases).StepOnly)
-}
-
-// BenchmarkStepPhaseConcurrent is the step half on the worker pool.
-func BenchmarkStepPhaseConcurrent(b *testing.B) {
-	benchPhase(b, true, (*RoundPhases).StepOnly)
+	benchPhase(b, (*RoundPhases).StepOnly)
 }
 
 // BenchmarkRoutePhase measures only the routing/delivery half: block
-// sort, dedup, arena sizing, fan-out, accounting.
+// sort, dedup, arena sizing, sharded fan-out, accounting.
 func BenchmarkRoutePhase(b *testing.B) {
-	benchPhase(b, false, func(rp *RoundPhases) error { rp.RouteOnly(); return nil })
-}
-
-// BenchmarkRoutePhaseConcurrent is the routing half with sharded
-// delivery on the worker pool (inline when the pool has one worker).
-func BenchmarkRoutePhaseConcurrent(b *testing.B) {
-	benchPhase(b, true, func(rp *RoundPhases) error { rp.RouteOnly(); return nil })
+	benchPhase(b, func(rp *RoundPhases) error { rp.RouteOnly(); return nil })
 }
 
 // campaignChunk is how many rounds each simulation advances per
@@ -109,7 +96,7 @@ func BenchmarkRoutePhaseConcurrent(b *testing.B) {
 const campaignChunk = 4
 
 // BenchmarkCampaign measures aggregate campaign throughput: jobs
-// independent sequential simulations multiplexed over one bounded
+// independent single-worker simulations multiplexed over one bounded
 // scheduler. One op advances every simulation by campaignChunk rounds,
 // so rows with the same n are directly comparable — jobs× the rounds
 // for (ideally) the same wall time, up to the worker budget. `make
@@ -138,27 +125,32 @@ func BenchmarkCampaign(b *testing.B) {
 	}
 }
 
-func benchPhase(b *testing.B, concurrent bool, op func(*RoundPhases) error) {
-	for _, n := range phaseNs {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			rp, err := NewRoundPhases(n, concurrent)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer rp.Close()
-			// Warm-up: the first route pass sizes the delivery
-			// buffers; keep that outside the timed region (see
-			// benchRounds).
-			if err := op(rp); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := op(rp); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+func benchPhase(b *testing.B, op func(*RoundPhases) error) {
+	for _, wc := range workerCaps {
+		for _, n := range phaseNs {
+			b.Run(fmt.Sprintf("%sn=%d", wc.prefix, n), func(b *testing.B) {
+				benchPhaseAt(b, n, wc.workers, op)
+			})
+		}
+	}
+}
+
+func benchPhaseAt(b *testing.B, n, workers int, op func(*RoundPhases) error) {
+	rp, err := NewRoundPhases(n, workers)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rp.Close()
+	// Warm-up: the first route pass sizes the delivery buffers; keep
+	// that outside the timed region (see benchRounds).
+	if err := op(rp); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := op(rp); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -16,13 +16,14 @@ import (
 // O(S + B + U) (sends, surviving broadcasts, unicast deliveries) plus
 // the per-receiver constant of handing out views. It is split into a
 // cheap serial prepare pass and a delivery pass that is embarrassingly
-// parallel over receivers, so the concurrent runner can shard it across
-// the same worker pool that runs the step phase.
+// parallel over receivers, sharded across the same scheduler dispatch
+// (and the same worker cap) that runs the step phase. At a cap of 1
+// there is a single shard and delivery runs inline.
 //
 // The pipeline, per round:
 //
 //  1. Block-local sort (routePrepare). outs arrives grouped by sender in
-//     ascending node order — both runners merge the per-process send
+//     ascending node order — the step merge appends the per-process send
 //     buffers in node order and the engine stamps from = the registered
 //     id — so the global sort by (from, encoding, to) of the old engine
 //     is equivalent to sorting each sender's block by (encoding, to).
@@ -45,8 +46,8 @@ import (
 //     unicasts once into the unicast arena, each aligned with its send
 //     index list — O(B + U) Received values total, regardless of the
 //     receiver count. The copies are what let a receiver's view outlive
-//     the outs buffer (both runners rewrite outs while inboxes are
-//     still being read next round). Block and arena are recycled across
+//     the outs buffer (the next step merge rewrites outs while inboxes
+//     are still being read). Block and arena are recycled across
 //     rounds — which is why Process.Step must not retain env.Inbox
 //     (see the package docs).
 //
@@ -67,10 +68,10 @@ import (
 //  5. Merge (route). Per-shard delivery/byte tallies are reduced and
 //     per-shard event buffers appended to the EventLog in shard — i.e.
 //     receiver — order, so the transcript and the Collector flush are
-//     identical for the sequential runner, for any worker count, and
-//     across runs. The canonical transcript order is receiver-major:
-//     deliveries grouped by receiver in ascending node order, each
-//     receiver's messages in inbox order.
+//     identical for every worker cap and across runs. The canonical
+//     transcript order is receiver-major: deliveries grouped by
+//     receiver in ascending node order, each receiver's messages in
+//     inbox order.
 
 // routeShard is one worker's slice of the delivery pass: the receiver
 // range [lo, hi) plus the tallies and the event buffer that worker owns.
@@ -94,12 +95,7 @@ type routeShard struct {
 func (n *Network) route(outs []send) (deliveries, bytes int64) {
 	n.routePrepare(outs)
 
-	nshards := 1
-	if n.cfg.Concurrent {
-		if w := n.workersCap(); w > 1 {
-			nshards = w
-		}
-	}
+	nshards := n.workersCap()
 	if cap(n.shards) < nshards {
 		n.shards = make([]routeShard, nshards)
 	}
@@ -113,11 +109,7 @@ func (n *Network) route(outs []send) (deliveries, bytes int64) {
 		shards[s].bytes = 0
 		shards[s].events = shards[s].events[:0]
 	}
-	if nshards == 1 {
-		n.routeShardDeliver(&shards[0])
-	} else {
-		n.runRouteShards(nshards)
-	}
+	n.runRouteShards(nshards)
 
 	for s := range shards {
 		deliveries += shards[s].deliveries
@@ -282,8 +274,9 @@ func (n *Network) routePrepare(outs []send) {
 	// (5) Sparse materialization: copy the surviving broadcasts once
 	// into the shared block and the surviving unicasts once into the
 	// arena, aligned with bcastIdx and uniIdx respectively. Receivers
-	// get views over these copies, never over outs — both runners
-	// rewrite outs while next round's inboxes are still being read.
+	// get views over these copies, never over outs — the next step
+	// merge rewrites outs while this round's inboxes are still being
+	// read.
 	// Shrink-clearing the recycled tails drops the references held by
 	// last round's larger block/arena so dead payloads are not pinned.
 	nb := len(n.bcastIdx)

@@ -16,9 +16,9 @@ import (
 // batches: broadcast/unicast mixes, exact duplicates, unicasts
 // shadowed by same-sender broadcasts, unknown and halted targets, and
 // forced equal-digest-different-encoding pairs (the 64-bit collision
-// fallback). Each batch is routed on the sequential single-shard path
-// and on forced multi-worker pools, so the sharded delivery path is
-// exercised even on a single-core host.
+// fallback). Each batch is routed at the default worker cap, inline on
+// one shard, and on forced multi-worker pools, so the sharded delivery
+// path is exercised even on a single-core host.
 
 // routePool is a fixed set of distinct payloads whose digests are
 // deliberately made to collide pairwise (digest = pool index mod 2),
@@ -137,10 +137,11 @@ func referenceRoute(c routeCase) (inboxes [][]Received, deliveries, bytes int64)
 }
 
 // routeOnNetwork builds a network for the case, forces the requested
-// worker count (0 = sequential single-shard), routes a copy of the
-// batch, and returns the network with its resulting inbox views and
-// tallies. The caller Closes the network — the views read through the
-// network's shared block and arena, which Close clears and recycles.
+// worker cap (0 = the Config default, 1 = the inline single shard),
+// routes a copy of the batch, and returns the network with its
+// resulting inbox views and tallies. The caller Closes the network —
+// the views read through the network's shared block and arena, which
+// Close clears and recycles.
 func routeOnNetwork(t testing.TB, c routeCase, workers int) (net *Network, inboxes []Inbox, deliveries, bytes int64) {
 	t.Helper()
 	net = New(Config{})
@@ -222,8 +223,8 @@ func checkRouteCase(t testing.TB, c routeCase, workers int) {
 }
 
 // TestRouteDedupMatchesReference is the property test: random batches
-// against the reference model, on the sequential path and on forced
-// 3- and 5-worker pools.
+// against the reference model, at the default cap, inline on one
+// shard, and on forced 3- and 5-worker pools.
 func TestRouteDedupMatchesReference(t *testing.T) {
 	t.Parallel()
 	pool := newRoutePool()
@@ -233,7 +234,7 @@ func TestRouteDedupMatchesReference(t *testing.T) {
 	}
 	for seed := 0; seed < iters; seed++ {
 		c := genRouteCase(rand.New(rand.NewSource(int64(seed))), pool)
-		for _, workers := range []int{0, 3, 5} {
+		for _, workers := range []int{0, 1, 3, 5} {
 			checkRouteCase(t, c, workers)
 		}
 	}
@@ -277,7 +278,7 @@ func TestRouteDedupDirectedCases(t *testing.T) {
 		},
 	}
 	for i, c := range cases {
-		for _, workers := range []int{0, 3} {
+		for _, workers := range []int{0, 1, 3} {
 			t.Run(fmt.Sprintf("case=%d/workers=%d", i, workers), func(t *testing.T) {
 				checkRouteCase(t, c, workers)
 			})
@@ -326,7 +327,7 @@ func FuzzRouteDedup(f *testing.F) {
 				}
 			}
 		}
-		for _, workers := range []int{0, 3} {
+		for _, workers := range []int{0, 1, 3} {
 			checkRouteCase(t, c, workers)
 		}
 	})

@@ -6,24 +6,28 @@ import (
 	"uba/internal/simnet/sched"
 )
 
-// This file is the concurrent runner's dispatch layer: how a Network's
+// This file is the round pipeline's dispatch layer: how a Network's
 // two round phases — step-by-node and route-by-shard — become indexed
 // batches on the process-wide bounded scheduler (internal/simnet/sched).
+// There is one pipeline for every Network; the only runner setting is
+// Config.Workers, the cap on how many goroutines may drain one phase
+// (see workersCap). At a cap of 1 the scheduler runs the batch inline
+// on the calling goroutine with no coordination at all, so a
+// single-worker network pays nothing for the dispatch layer.
 //
-// A Network no longer owns worker goroutines. It binds to a scheduler
-// on its first concurrent dispatch (the shared sched.Default unless a
-// test injected a private one) and submits each phase as one barriered
-// dispatch, reusing a single Phase record and a single phase-tagged
-// poolTask so the steady-state round performs no allocation. The
-// Config.Workers knob is a cap on how many shared workers may drain
-// this network's phase at once, not a reservation: a campaign running
-// many simulations keeps total parallelism at the scheduler's budget
-// no matter how many networks are in flight.
+// A Network owns no worker goroutines. It binds to a scheduler on its
+// first dispatch (the shared sched.Default unless a test injected a
+// private one) and submits each phase as one barriered dispatch,
+// reusing a single Phase record and a single phase-tagged poolTask so
+// the steady-state round performs no allocation. The cap is not a
+// reservation: a campaign running many simulations keeps total
+// parallelism at the scheduler's budget no matter how many networks
+// are in flight.
 //
-// Determinism is unchanged from the private-pool runner: which worker
-// runs which index varies run to run, but the step merge reads result
-// slots in node order and the route merge reads shards in receiver
-// order, so transcripts and accounting are independent of scheduling.
+// Determinism does not depend on the cap: which goroutine runs which
+// index varies run to run, but the step merge reads result slots in
+// node order and the route merge reads shards in receiver order, so
+// transcripts and accounting are independent of scheduling.
 
 // poolPhase selects which half of a round a dispatched task runs.
 type poolPhase uint8
@@ -65,7 +69,7 @@ func (t *poolTask) Run(i int) {
 // host; everything else shares one budget.
 func (n *Network) scheduler() *sched.Scheduler {
 	if n.sched == nil {
-		//lint:coldpath binding to the shared scheduler runs once per Network, on its first concurrent dispatch
+		//lint:coldpath binding to the shared scheduler runs once per Network, on its first dispatch
 		n.sched = sched.Default()
 	}
 	return n.sched
@@ -112,14 +116,16 @@ func (n *Network) runRouteShards(nshards int) {
 }
 
 // Close retires the network: a privately owned scheduler (test hook) is
-// closed, and the round-scoped scratch buffers are cleared and returned
-// to the process-wide recycling pool so the next Network — a later
-// campaign cell, often on another goroutine — starts at this one's
-// high-water mark instead of re-growing from nil. Close is idempotent;
-// the Network must not run further rounds after it. It is optional
-// (an abandoned Network is ordinary garbage — no goroutines or
-// finalizers are attached), but campaigns that run thousands of cells
-// want the buffer recycling.
+// closed, every live node's inbox view is zeroed, and the round-scoped
+// scratch buffers are cleared and returned to the process-wide
+// recycling pool so the next Network — a later campaign cell, often on
+// another goroutine — starts at this one's high-water mark instead of
+// re-growing from nil. The inbox views read through that scratch, so
+// they must not outlive it: the next owner overwrites the arrays.
+// Close is idempotent, and RunRound on a closed network returns
+// ErrClosed. It is optional (an abandoned Network is ordinary garbage —
+// no goroutines or finalizers are attached), but campaigns that run
+// thousands of cells want the buffer recycling.
 func (n *Network) Close() {
 	if n.closed {
 		return
@@ -129,5 +135,8 @@ func (n *Network) Close() {
 		n.sched.Close()
 	}
 	n.sched = nil
+	for _, st := range n.live {
+		st.inbox = Inbox{}
+	}
 	n.releaseScratch()
 }

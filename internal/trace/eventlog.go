@@ -84,7 +84,7 @@ const (
 
 // EventLog records a message-level transcript of a run — the debugging
 // view of an execution: who delivered what to whom, round by round. It
-// is safe for concurrent use (the concurrent runner records from many
+// is safe for concurrent use (callers may record from many
 // goroutines). A capacity bound keeps adversarial message floods from
 // exhausting memory; when it is hit, further events are counted but not
 // stored.

@@ -64,9 +64,9 @@ func (r Report) String() string {
 		r.Rounds, r.Sends, r.Deliveries, r.Bytes)
 }
 
-// Collector accumulates a Report. It is safe for concurrent use so the
-// pooled concurrent runner can record from its workers without extra
-// coordination (the round engine itself batches via AddRound).
+// Collector accumulates a Report. It is safe for concurrent use, so
+// callers may record from many goroutines without extra coordination
+// (the round engine itself batches via AddRound, once per round).
 // The zero value is ready to use.
 //
 // The lock is per-Collector, never process-wide, and each simulation

@@ -74,6 +74,9 @@ func (c *OrderingCluster) Members() []uint64 {
 	return out
 }
 
+// ErrClosed reports RunRounds on an OrderingCluster after Close.
+var ErrClosed = simnet.ErrClosed
+
 // RunRounds advances the whole system the given number of rounds.
 func (c *OrderingCluster) RunRounds(rounds int) error {
 	for i := 0; i < rounds; i++ {
@@ -161,8 +164,8 @@ func (c *OrderingCluster) Round(member uint64) (uint64, error) {
 // Report returns the cluster's traffic accounting so far.
 func (c *OrderingCluster) Report() trace.Report { return c.collector.Report() }
 
-// Close releases the cluster's simulator resources (the concurrent
-// runner's worker pool, when Config.Concurrent was set). The cluster
-// must not be used after Close. Calling it on a sequential cluster is a
-// harmless no-op, and an unclosed cluster is cleaned up by a finalizer.
+// Close retires the cluster's simulator and returns its round scratch
+// to the process-wide recycling pool. It is idempotent and optional
+// (an unclosed cluster is ordinary garbage), and RunRounds after Close
+// returns ErrClosed.
 func (c *OrderingCluster) Close() { c.net.Close() }

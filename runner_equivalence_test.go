@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -16,25 +17,44 @@ import (
 
 // runnerOutcome captures everything observable about one protocol run:
 // the message-level transcript, the traffic report, and the protocol's
-// own result. The pooled concurrent runner must reproduce all three
-// byte-for-byte from the sequential runner — this is the guard on the
-// worker-pool and digest-dedup rewrite of the round engine.
+// own result. Every worker cap must reproduce all three byte-for-byte
+// from the inline cap-1 pipeline — this is the guard on the sharded
+// dispatch and digest-dedup paths of the round engine.
 type runnerOutcome struct {
 	events []trace.Event
 	report trace.Report
 	result any
 }
 
-func runOnce(t *testing.T, protocol string, adv uba.Adversary, concurrent bool) runnerOutcome {
+// facadeCaps is the worker-cap sweep of the facade-level equivalence
+// tests: the facade has no runner setting, so each run sets GOMAXPROCS,
+// which with at least seven live nodes is exactly the network's default
+// cap. The first entry is the inline baseline.
+var facadeCaps = []int{1, 2, 3, 5}
+
+// atProcs runs f with GOMAXPROCS set to procs. It changes process-wide
+// state, so its callers must not be parallel tests.
+func atProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
+
+func runOnce(t *testing.T, protocol string, adv uba.Adversary, procs int) (out runnerOutcome) {
 	t.Helper()
+	atProcs(procs, func() { out = runFacade(t, protocol, adv) })
+	return out
+}
+
+func runFacade(t *testing.T, protocol string, adv uba.Adversary) runnerOutcome {
+	t.Helper()
+	procs := runtime.GOMAXPROCS(0)
 	log := trace.NewEventLog(500_000)
 	cfg := uba.Config{
-		Correct:    7,
-		Byzantine:  2,
-		Adversary:  adv,
-		Seed:       42,
-		Concurrent: concurrent,
-		EventLog:   log,
+		Correct:   7,
+		Byzantine: 2,
+		Adversary: adv,
+		Seed:      42,
+		EventLog:  log,
 	}
 	var result any
 	var report trace.Report
@@ -43,7 +63,7 @@ func runOnce(t *testing.T, protocol string, adv uba.Adversary, concurrent bool) 
 		inputs := []float64{0, 1, 0, 1, 0, 1, 0}
 		res, err := uba.Consensus(cfg, inputs)
 		if err != nil {
-			t.Fatalf("%s/%s concurrent=%v: %v", protocol, adv, concurrent, err)
+			t.Fatalf("%s/%s procs=%d: %v", protocol, adv, procs, err)
 		}
 		report = res.Report
 		res.Report = trace.Report{}
@@ -51,7 +71,7 @@ func runOnce(t *testing.T, protocol string, adv uba.Adversary, concurrent bool) 
 	case "broadcast":
 		res, err := uba.ReliableBroadcast(cfg, []byte("equivalence-body"), 10)
 		if err != nil {
-			t.Fatalf("%s/%s concurrent=%v: %v", protocol, adv, concurrent, err)
+			t.Fatalf("%s/%s procs=%d: %v", protocol, adv, procs, err)
 		}
 		report = res.Report
 		res.Report = trace.Report{}
@@ -59,7 +79,7 @@ func runOnce(t *testing.T, protocol string, adv uba.Adversary, concurrent bool) 
 	case "rotor":
 		res, err := uba.Rotor(cfg)
 		if err != nil {
-			t.Fatalf("%s/%s concurrent=%v: %v", protocol, adv, concurrent, err)
+			t.Fatalf("%s/%s procs=%d: %v", protocol, adv, procs, err)
 		}
 		report = res.Report
 		res.Report = trace.Report{}
@@ -68,53 +88,53 @@ func runOnce(t *testing.T, protocol string, adv uba.Adversary, concurrent bool) 
 		t.Fatalf("unknown protocol %q", protocol)
 	}
 	if log.Dropped() > 0 {
-		t.Fatalf("%s/%s concurrent=%v: transcript truncated (%d dropped)",
-			protocol, adv, concurrent, log.Dropped())
+		t.Fatalf("%s/%s procs=%d: transcript truncated (%d dropped)",
+			protocol, adv, procs, log.Dropped())
 	}
 	return runnerOutcome{events: log.Events(), report: report, result: result}
 }
 
 // TestRunnerEquivalenceAcrossAdversaries runs every adversary strategy
-// against consensus, reliable broadcast, and the rotor-coordinator under
-// both runners with a shared seed and asserts byte-identical transcripts
-// (every delivery: round, from, to, kind, size, broadcast flag, in
-// order), identical Report totals and per-round breakdowns, and
-// identical protocol results. The concurrent runner is run twice so a
-// worker-scheduling dependence — which could agree with the sequential
-// runner on one lucky schedule — fails the matrix directly. The
-// engine-level matrix with forced multi-worker shard counts lives in
-// internal/simnet/determinism_test.go.
+// against consensus, reliable broadcast, and the rotor-coordinator at
+// worker caps {1, 2, 3, 5} with a shared seed and asserts byte-identical
+// transcripts (every delivery: round, from, to, kind, size, broadcast
+// flag, in order), identical Report totals and per-round breakdowns, and
+// identical protocol results. The top cap is run twice so a
+// worker-scheduling dependence — which could agree with the inline run
+// on one lucky schedule — fails the matrix directly. The engine-level
+// matrix with forced multi-worker shard counts lives in
+// internal/simnet/determinism_test.go. Caps are set through GOMAXPROCS,
+// so neither the test nor its subtests run in parallel.
 func TestRunnerEquivalenceAcrossAdversaries(t *testing.T) {
-	t.Parallel()
 	adversaries := []uba.Adversary{
 		uba.AdversaryNone, uba.AdversarySilent, uba.AdversaryCrash,
 		uba.AdversarySplit, uba.AdversaryGhost, uba.AdversaryNoise,
 	}
 	for _, protocol := range []string{"consensus", "broadcast", "rotor"} {
 		for _, adv := range adversaries {
-			protocol, adv := protocol, adv
 			t.Run(fmt.Sprintf("%s/%s", protocol, adv), func(t *testing.T) {
-				t.Parallel()
-				seq := runOnce(t, protocol, adv, false)
-				if len(seq.events) == 0 {
-					t.Fatal("sequential run recorded no deliveries; transcript comparison is vacuous")
+				base := runOnce(t, protocol, adv, facadeCaps[0])
+				if len(base.events) == 0 {
+					t.Fatal("inline run recorded no deliveries; transcript comparison is vacuous")
 				}
-				for _, label := range []string{"concurrent", "concurrent-repeat"} {
-					con := runOnce(t, protocol, adv, true)
-					if !slices.Equal(seq.events, con.events) {
+				sweep := append(slices.Clone(facadeCaps[1:]), facadeCaps[len(facadeCaps)-1])
+				for _, procs := range sweep {
+					got := runOnce(t, protocol, adv, procs)
+					label := fmt.Sprintf("procs=%d", procs)
+					if !slices.Equal(base.events, got.events) {
 						i := 0
-						for i < len(seq.events) && i < len(con.events) && seq.events[i] == con.events[i] {
+						for i < len(base.events) && i < len(got.events) && base.events[i] == got.events[i] {
 							i++
 						}
-						t.Fatalf("%s: transcripts diverge at event %d of %d/%d:\n  sequential: %+v\n  concurrent: %+v",
-							label, i, len(seq.events), len(con.events), at(seq.events, i), at(con.events, i))
+						t.Fatalf("%s: transcripts diverge at event %d of %d/%d:\n  inline: %+v\n  pooled: %+v",
+							label, i, len(base.events), len(got.events), at(base.events, i), at(got.events, i))
 					}
-					if !reflect.DeepEqual(seq.report, con.report) {
-						t.Fatalf("%s: reports differ:\n  sequential: %v\n  concurrent: %v", label, seq.report, con.report)
+					if !reflect.DeepEqual(base.report, got.report) {
+						t.Fatalf("%s: reports differ:\n  inline: %v\n  pooled: %v", label, base.report, got.report)
 					}
-					if !reflect.DeepEqual(seq.result, con.result) {
-						t.Fatalf("%s: protocol results differ:\n  sequential: %+v\n  concurrent: %+v",
-							label, seq.result, con.result)
+					if !reflect.DeepEqual(base.result, got.result) {
+						t.Fatalf("%s: protocol results differ:\n  inline: %+v\n  pooled: %+v",
+							label, base.result, got.result)
 					}
 				}
 			})
@@ -145,20 +165,17 @@ func (c *crashingChatter) Step(env *simnet.RoundEnv) {
 }
 
 // runCrashWorkload runs twelve chatter processes, four of which panic in
-// staggered rounds, on a pool of the given size (0 = sequential runner),
-// and returns the transcript and crash records.
+// staggered rounds, at the given worker cap (1 = inline), and returns
+// the transcript and crash records.
 func runCrashWorkload(t *testing.T, workers int) ([]trace.Event, []simnet.CrashRecord) {
 	t.Helper()
 	log := trace.NewEventLog(500_000)
 	net := simnet.New(simnet.Config{
-		MaxRounds:  20,
-		EventLog:   log,
-		Concurrent: workers > 0,
-		Workers:    workers,
+		MaxRounds: 20,
+		EventLog:  log,
+		Workers:   workers,
 	})
-	if workers > 0 {
-		defer net.Close()
-	}
+	defer net.Close()
 	rng := rand.New(rand.NewSource(7))
 	nodeIDs := ids.Sparse(rng, 12)
 	for i, id := range nodeIDs {
@@ -182,10 +199,10 @@ func runCrashWorkload(t *testing.T, workers int) ([]trace.Event, []simnet.CrashR
 // TestCrashEquivalenceAcrossWorkerCounts asserts that contained Step
 // panics are deterministic: the full transcript — including every
 // NodeCrashed event — and the crash records are identical between the
-// sequential runner and pools of 1, 3 and 5 workers.
+// inline cap-1 pipeline and caps 2, 3 and 5.
 func TestCrashEquivalenceAcrossWorkerCounts(t *testing.T) {
 	t.Parallel()
-	baseEvents, baseCrashes := runCrashWorkload(t, 0)
+	baseEvents, baseCrashes := runCrashWorkload(t, 1)
 	crashed := 0
 	for _, e := range baseEvents {
 		if e.Kind == trace.KindNodeCrashed {
@@ -198,18 +215,18 @@ func TestCrashEquivalenceAcrossWorkerCounts(t *testing.T) {
 	if len(baseCrashes) != 4 {
 		t.Fatalf("%d crash records, want 4: %+v", len(baseCrashes), baseCrashes)
 	}
-	for _, workers := range []int{1, 3, 5} {
+	for _, workers := range []int{2, 3, 5} {
 		events, crashes := runCrashWorkload(t, workers)
 		if !slices.Equal(baseEvents, events) {
 			i := 0
 			for i < len(baseEvents) && i < len(events) && baseEvents[i] == events[i] {
 				i++
 			}
-			t.Fatalf("workers=%d: transcripts diverge at event %d of %d/%d:\n  sequential: %+v\n  pooled:     %+v",
+			t.Fatalf("workers=%d: transcripts diverge at event %d of %d/%d:\n  inline: %+v\n  pooled: %+v",
 				workers, i, len(baseEvents), len(events), at(baseEvents, i), at(events, i))
 		}
 		if !reflect.DeepEqual(baseCrashes, crashes) {
-			t.Fatalf("workers=%d: crash records differ:\n  sequential: %+v\n  pooled:     %+v",
+			t.Fatalf("workers=%d: crash records differ:\n  inline: %+v\n  pooled: %+v",
 				workers, baseCrashes, crashes)
 		}
 	}

@@ -115,8 +115,6 @@ type Config struct {
 	// Seed makes the run reproducible (identifier layout and any
 	// adversary randomness derive from it).
 	Seed int64
-	// Concurrent selects the pooled-worker concurrent runner.
-	Concurrent bool
 	// MaxRounds bounds the run (0 = simulator default).
 	MaxRounds int
 	// EventLog, when non-nil, records a message-level transcript of the
@@ -198,13 +196,12 @@ func newCluster(cfg Config, family string) (*cluster, error) {
 		obs = obsMux{user: cfg.Observer, suite: suite}
 	}
 	net := simnet.New(simnet.Config{
-		MaxRounds:  cfg.MaxRounds,
-		Concurrent: cfg.Concurrent,
-		Collector:  collector,
-		EventLog:   cfg.EventLog,
-		Observer:   obs,
-		SendQuota:  cfg.SendQuota,
-		ByteQuota:  cfg.ByteQuota,
+		MaxRounds: cfg.MaxRounds,
+		Collector: collector,
+		EventLog:  cfg.EventLog,
+		Observer:  obs,
+		SendQuota: cfg.SendQuota,
+		ByteQuota: cfg.ByteQuota,
 	})
 	return &cluster{
 		cfg:        cfg,
@@ -277,9 +274,10 @@ func (c *cluster) complexityErr() error {
 	return fmt.Errorf("uba: %s oracle fired in round %d: %s", v.Oracle, v.Round, v.Detail)
 }
 
-// close releases the network's worker pool (a no-op for sequential
-// runs). Every one-shot run function defers it; long-lived handles
-// (OrderingCluster) expose it to their callers instead.
+// close retires the network and recycles its round scratch (see
+// simnet.Network.Close). Every one-shot run function defers it;
+// long-lived handles (OrderingCluster) expose it to their callers
+// instead.
 func (c *cluster) close() { c.net.Close() }
 
 func (c *cluster) report() trace.Report { return c.collector.Report() }

@@ -1,11 +1,23 @@
 package uba
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
+	"uba/internal/simnet"
 	"uba/internal/trace"
 )
+
+// atProcs runs f with GOMAXPROCS set to procs. The facade has no runner
+// setting, so this is how a facade test picks a network's default
+// worker cap (GOMAXPROCS capped at the live node count). It changes
+// process-wide state, so its callers must not be parallel tests.
+func atProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
 
 func TestConfigValidation(t *testing.T) {
 	t.Parallel()
@@ -259,6 +271,43 @@ func TestOrderingClusterFacade(t *testing.T) {
 	}
 }
 
+// A closed OrderingCluster refuses further rounds with ErrClosed rather
+// than stepping its nodes over inbox views into recycled scratch, and
+// the refusal leaves the chains it already finalized readable.
+func TestOrderingClusterRunRoundsAfterClose(t *testing.T) {
+	t.Parallel()
+	oc, err := NewOrderingCluster(Config{Correct: 4, Seed: 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := oc.Members()[0]
+	if err := oc.SubmitEvent(m, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := oc.RunRounds(40); err != nil {
+		t.Fatal(err)
+	}
+	before, err := oc.Chain(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oc.Close()
+	oc.Close() // idempotent
+	if err := oc.RunRounds(1); !errors.Is(err, ErrClosed) {
+		t.Fatalf("RunRounds after Close = %v, want ErrClosed", err)
+	}
+	if err := oc.net.RunRound(); !errors.Is(err, simnet.ErrClosed) {
+		t.Fatalf("network RunRound after Close = %v, want simnet.ErrClosed", err)
+	}
+	after, err := oc.Chain(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(before) == 0 || fmt.Sprint(before) != fmt.Sprint(after) {
+		t.Fatalf("chain changed across a rejected round: %v -> %v", before, after)
+	}
+}
+
 func TestOrderingClusterJoinLeave(t *testing.T) {
 	t.Parallel()
 	oc, err := NewOrderingCluster(Config{Correct: 5, Seed: 19})
@@ -360,20 +409,26 @@ func TestFacadeDeterminism(t *testing.T) {
 	}
 }
 
-// The sequential and concurrent runners agree through the facade too.
+// Worker caps {2, 3, 5} agree with the inline cap-1 pipeline through the
+// facade too. Caps are set through GOMAXPROCS, so the test is serial.
 func TestFacadeRunnerEquivalence(t *testing.T) {
-	t.Parallel()
 	inputs := []float64{3, 4, 3, 4, 3, 4, 4}
-	seq, err := Consensus(Config{Correct: 7, Byzantine: 2, Adversary: AdversarySplit, Seed: 40}, inputs)
-	if err != nil {
-		t.Fatal(err)
+	run := func(procs int) (res *ConsensusResult) {
+		atProcs(procs, func() {
+			var err error
+			res, err = Consensus(Config{Correct: 7, Byzantine: 2, Adversary: AdversarySplit, Seed: 40}, inputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		return res
 	}
-	con, err := Consensus(Config{Correct: 7, Byzantine: 2, Adversary: AdversarySplit, Seed: 40, Concurrent: true}, inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Decision != con.Decision || seq.Rounds != con.Rounds {
-		t.Fatalf("runners differ: %+v vs %+v", seq, con)
+	base := run(1)
+	for _, procs := range []int{2, 3, 5} {
+		got := run(procs)
+		if base.Decision != got.Decision || base.Rounds != got.Rounds || base.Report.Deliveries != got.Report.Deliveries {
+			t.Fatalf("procs=%d differs from the inline run: %+v vs %+v", procs, got, base)
+		}
 	}
 }
 
