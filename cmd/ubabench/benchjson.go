@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"uba/internal/simnet"
+	"uba/internal/trace"
 )
 
 // benchSizes are the system sizes the full-round micro-benchmarks
@@ -54,7 +55,11 @@ type engineBenchResult struct {
 	// Plan is "idle" for rows measured with a fault plan attached but
 	// never live (the plan-presence cost of a healthy round), empty for
 	// plan-free rows.
-	Plan        string  `json:"plan,omitempty"`
+	Plan string `json:"plan,omitempty"`
+	// Observer is "nop" for rows measured with nopObserver attached
+	// (the price of the round-boundary observer dispatch), empty for
+	// unobserved rows.
+	Observer    string  `json:"observer,omitempty"`
 	Iterations  int     `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
@@ -72,14 +77,15 @@ type engineBenchFile struct {
 
 // benchSpec names one benchmark and knows how to run its loop body.
 type benchSpec struct {
-	name   string
-	runner string // worker-axis label, see engineBenchResult.Runner
-	phase  string // "" for full-round specs
-	n      int
-	jobs   int    // concurrent simulations, 0 = single-simulation spec
-	procs  int    // fixed GOMAXPROCS, 0 = host setting
-	plan   string // "idle" for plan-presence rows, "" for plan-free rows
-	bench  func(b *testing.B)
+	name     string
+	runner   string // worker-axis label, see engineBenchResult.Runner
+	phase    string // "" for full-round specs
+	n        int
+	jobs     int    // concurrent simulations, 0 = single-simulation spec
+	procs    int    // fixed GOMAXPROCS, 0 = host setting
+	plan     string // "idle" for plan-presence rows, "" for plan-free rows
+	observer string // "nop" for observed rows, "" for unobserved rows
+	bench    func(b *testing.B)
 }
 
 // Worker-axis labels: cap-1 rows carry a "workers=1/" name segment;
@@ -135,6 +141,44 @@ func roundSpec(runner string, n int) benchSpec {
 // phaseSpec measures one half of a round in isolation via RoundPhases.
 func phaseSpec(phase, runner string, n int) benchSpec {
 	return planPhaseSpec(phase, runner, n, false)
+}
+
+// nopObserver implements simnet.RoundObserver, RoundStatsObserver and
+// DeliveryObserver and ignores every call. It never ranges over the
+// Deliveries view, so it prices the round-boundary dispatch alone —
+// what every facade run pays for its always-attached complexity oracle.
+type nopObserver struct{}
+
+func (nopObserver) ObserveRound(int, []trace.Event)               {}
+func (nopObserver) ObserveRoundStats(int, simnet.RoundAccounting) {}
+func (nopObserver) ObserveDeliveries(int, simnet.Deliveries)      {}
+
+// observedRouteSpec is the route-phase row with nopObserver attached: every op also runs the round-boundary dispatch — the
+// Deliveries view, ObserveRound, ObserveRoundStats — that every facade
+// run pays for its always-attached complexity oracle. The observer
+// never ranges over the view, so paired with the unobserved row of the
+// same shape the ratio is the whole price of attaching an observer
+// that reads no deliveries (perf-smoke gates it; see maxObservedRatio).
+func observedRouteSpec(runner string, n int) benchSpec {
+	spec := phaseSpec("route", runner, n)
+	spec.name += "/observed"
+	spec.observer = "nop"
+	workers, _ := runnerWorkers(runner)
+	spec.bench = func(b *testing.B) {
+		rp, err := simnet.NewRoundPhases(n, workers)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer rp.Close()
+		rp.SetObserver(nopObserver{})
+		rp.RouteOnly() // warm-up, as in planPhaseSpec
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rp.RouteOnly()
+		}
+	}
+	return spec
 }
 
 // planPhaseSpec is phaseSpec with an optional idle fault plan attached:
@@ -251,7 +295,8 @@ func procsSpec(spec benchSpec, procs int) benchSpec {
 // allSpecs is the full `make bench-json` sweep: round benchmarks over
 // benchSizes, then the phase split over phaseSizes, at both worker-axis
 // points (with plan=idle route rows re-measuring the zero-alloc-gate
-// sizes under an attached-but-idle fault plan), plus a procs=1
+// sizes under an attached-but-idle fault plan, and observed route rows
+// at n=4096 pricing an attached no-op observer), plus a procs=1
 // default-cap row at the two sizes the zero-alloc gate certifies: at
 // one proc the default cap is 1, so it pins the default configuration
 // of a one-core host regardless of the regenerating machine. The
@@ -280,6 +325,9 @@ func allSpecs() []benchSpec {
 			specs = append(specs, planPhaseSpec("route", runner, n, true))
 		}
 	}
+	for _, runner := range runners {
+		specs = append(specs, observedRouteSpec(runner, 4096))
+	}
 	for _, n := range []int{1024, 4096} {
 		specs = append(specs, procsSpec(roundSpec(defaultRunner, n), 1))
 	}
@@ -305,6 +353,7 @@ func measure(spec benchSpec) (engineBenchResult, error) {
 		Jobs:        spec.jobs,
 		Procs:       spec.procs,
 		Plan:        spec.plan,
+		Observer:    spec.observer,
 		Iterations:  res.N,
 		NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
 		AllocsPerOp: res.AllocsPerOp(),

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"strings"
 )
 
 // smokeSpecs is the perf-smoke subset: the n=256 full-round and
@@ -18,9 +19,12 @@ import (
 // gate is not running. The plan=idle route rows re-pin the same band
 // with a fault plan attached but never live, so plan presence staying
 // free on a healthy round (0 allocs/op, flat ns/op) is part of the
-// smoke contract. The campaign row (4 concurrent simulations at
-// the perf-gate size, 4 pinned procs) covers the shared scheduler's
-// admission path the same way: its allocs/op band certifies that
+// smoke contract. The observed route rows (n=4096, a no-op observer
+// attached) pin the price of an observer that reads no deliveries: the
+// smoke also divides each by its unobserved twin from the same run and
+// fails above maxObservedRatio. The campaign row (4 concurrent
+// simulations at the perf-gate size, 4 pinned procs) covers the shared
+// scheduler's admission path the same way: its allocs/op band certifies that
 // multiplexing simulations adds no per-op allocations, and its ns/op
 // band catches a regression in the dispatch or fairness machinery.
 // Small enough to finish in seconds on a CI runner, broad enough that
@@ -37,10 +41,19 @@ func smokeSpecs() []benchSpec {
 			specs = append(specs, phaseSpec("route", runner, n))
 		}
 		specs = append(specs, planPhaseSpec("route", runner, 1024, true))
+		specs = append(specs, observedRouteSpec(runner, 4096))
 	}
 	specs = append(specs, procsSpec(campaignSpec(4, 256), 4))
 	return specs
 }
+
+// maxObservedRatio bounds an observed row's ns/op over its unobserved
+// twin's, both measured in the same smoke run (so host speed cancels
+// out; see ratioPairs). Deliveries reach observers through a lazy view, so attaching an
+// observer that never ranges over it must leave the route phase
+// essentially as fast as running unobserved; a per-delivery cost
+// creeping back into the dispatch shows up as a ratio of 10× or more.
+const maxObservedRatio = 1.2
 
 // allocSlack is the absolute allocs/op headroom added on top of the
 // relative band: allocation counts are deterministic for this engine,
@@ -97,11 +110,13 @@ func perfSmokeDiff(baseline engineBenchFile, specs []benchSpec, nsTol, allocTol 
 		byName[b.Name] = b
 	}
 	violations := 0
+	measured := make(map[string]engineBenchResult, len(specs))
 	for _, spec := range specs {
 		r, err := measure(spec)
 		if err != nil {
 			return violations, fmt.Errorf("perf smoke: %w", err)
 		}
+		measured[r.Name] = r
 		base, ok := byName[r.Name]
 		if !ok {
 			fmt.Fprintf(out, "%-40s %12.0f ns/op   (no baseline row; skipped)\n", r.Name, r.NsPerOp)
@@ -123,6 +138,61 @@ func perfSmokeDiff(baseline engineBenchFile, specs []benchSpec, nsTol, allocTol 
 		}
 		fmt.Fprintf(out, "%-40s %12.0f ns/op (base %12.0f, %+7.1f%%)  %6d allocs/op (band %6.0f)  %s\n",
 			r.Name, r.NsPerOp, base.NsPerOp, nsDelta*100, r.AllocsPerOp, allocBand, verdict)
+	}
+	ratioViolations, err := observedRatios(specs, measured, measure, out)
+	return violations + ratioViolations, err
+}
+
+// ratioPairs is how many (unobserved, observed) measurements the ratio
+// gate compares per observed row: the pair the band check already took
+// plus ratioPairs-1 interleaved re-measurements. Shared runners swing
+// single measurements by ±20%; the minimum of each side over several
+// pairs cancels that drift, where one pair would make a 1.2× bound
+// flaky.
+const ratioPairs = 3
+
+// observedRatios compares every observed spec with its unobserved twin
+// (the same name without the "/observed" suffix): starting from the
+// band check's measurements of both, it takes ratioPairs-1 more
+// alternating pairs, prints the ratio of the two sides' fastest ns/op,
+// and returns how many exceed maxObservedRatio. An observed spec whose
+// twin is not in specs is reported and counted: the gate must not pass
+// by omission.
+func observedRatios(specs []benchSpec, measured map[string]engineBenchResult, measure func(benchSpec) (engineBenchResult, error), out io.Writer) (int, error) {
+	byName := make(map[string]benchSpec, len(specs))
+	for _, spec := range specs {
+		byName[spec.name] = spec
+	}
+	violations := 0
+	for _, spec := range specs {
+		if spec.observer == "" {
+			continue
+		}
+		twinName := strings.TrimSuffix(spec.name, "/observed")
+		twin, ok := byName[twinName]
+		if !ok {
+			fmt.Fprintf(out, "%-40s observed/unobserved: FAIL: no twin row %s\n", spec.name, twinName)
+			violations++
+			continue
+		}
+		best := [2]float64{measured[twinName].NsPerOp, measured[spec.name].NsPerOp}
+		for p := 1; p < ratioPairs; p++ {
+			for side, s := range []benchSpec{twin, spec} {
+				r, err := measure(s)
+				if err != nil {
+					return violations, fmt.Errorf("perf smoke: %w", err)
+				}
+				best[side] = min(best[side], r.NsPerOp)
+			}
+		}
+		ratio := best[1] / best[0]
+		verdict := "ok"
+		if ratio > maxObservedRatio {
+			verdict = "FAIL: over bound"
+			violations++
+		}
+		fmt.Fprintf(out, "%-40s observed/unobserved %6.2fx (best of %d pairs: %.0f / %.0f ns/op; bound %.2fx)  %s\n",
+			spec.name, ratio, ratioPairs, best[1], best[0], maxObservedRatio, verdict)
 	}
 	return violations, nil
 }

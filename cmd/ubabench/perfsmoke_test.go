@@ -180,3 +180,59 @@ func TestCommittedBaselineCoversSmokeSpecs(t *testing.T) {
 		}
 	}
 }
+
+// TestPerfSmokeObservedRatioGate exercises the observed/unobserved
+// ratio check on synthetic measurements: a row within the bound
+// passes, a row over it fails, the gate compares the fastest of the
+// interleaved pairs (one slow unobserved outlier cannot fail a row),
+// and an observed row without an unobserved twin fails rather than
+// passing by omission.
+func TestPerfSmokeObservedRatioGate(t *testing.T) {
+	t.Parallel()
+	observed := func(name string) benchSpec {
+		spec := fastSpec(name + "/observed")
+		spec.observer = "nop"
+		return spec
+	}
+	specs := []benchSpec{fastSpec("cheap"), observed("cheap"), fastSpec("costly"), observed("costly"), observed("orphan")}
+	ns := map[string][]float64{
+		"cheap":           {1500, 1000, 1200},
+		"cheap/observed":  {1100, 1300, 1150},
+		"costly":          {1000, 1000, 1000},
+		"costly/observed": {385000, 380000, 390000},
+	}
+	calls := map[string]int{}
+	measure := func(spec benchSpec) (engineBenchResult, error) {
+		i := calls[spec.name]
+		calls[spec.name]++
+		return engineBenchResult{Name: spec.name, NsPerOp: ns[spec.name][i]}, nil
+	}
+	// The band check's pass supplies the first pair.
+	measured := map[string]engineBenchResult{}
+	for _, spec := range specs {
+		if _, ok := ns[spec.name]; ok {
+			measured[spec.name], _ = measure(spec)
+		}
+	}
+	var buf bytes.Buffer
+	got, err := observedRatios(specs, measured, measure, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != 2 {
+		t.Fatalf("violations = %d, want 2:\n%s", got, buf.String())
+	}
+	out := buf.String()
+	for _, want := range []string{
+		"cheap/observed", "1.10x", "ok",
+		"costly/observed", "380.00x", "FAIL: over bound",
+		"orphan/observed", "no twin row orphan",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("ratio report missing %q:\n%s", want, out)
+		}
+	}
+	if calls["cheap"] != ratioPairs || calls["cheap/observed"] != ratioPairs {
+		t.Fatalf("gate took %d/%d measurements, want %d pairs", calls["cheap"], calls["cheap/observed"], ratioPairs)
+	}
+}

@@ -22,8 +22,6 @@
 package rotor
 
 import (
-	"sort"
-
 	"uba/internal/census"
 	"uba/internal/ids"
 	"uba/internal/simnet"
@@ -55,8 +53,8 @@ type Core struct {
 	candidates ids.Set // C_v, ordered by id
 	selected   ids.Set // S_v
 
-	echoSenders  map[ids.ID]map[ids.ID]struct{} // candidate -> senders this window
-	opinions     map[ids.ID]wire.Value          // sender -> opinion this window
+	echoes       echoTally             // candidate -> distinct senders this window
+	opinions     map[ids.ID]wire.Value // sender -> opinion this window
 	lastSelected ids.ID
 
 	loopRound  int
@@ -69,10 +67,10 @@ type Core struct {
 // instances pass their id).
 func NewCore(self ids.ID, instance uint64) *Core {
 	return &Core{
-		self:        self,
-		instance:    instance,
-		echoSenders: make(map[ids.ID]map[ids.ID]struct{}),
-		opinions:    make(map[ids.ID]wire.Value),
+		self:     self,
+		instance: instance,
+		echoes:   newEchoTally(),
+		opinions: make(map[ids.ID]wire.Value),
 	}
 }
 
@@ -110,10 +108,20 @@ func (c *Core) EchoInits(inbox simnet.Inbox, emit func(wire.Payload)) {
 // NoteInbox records the rotor-relevant messages of one delivered inbox:
 // candidate echoes (tallied by distinct sender until the next LoopRound)
 // and coordinator opinions. accept filters senders (nil accepts all);
-// consensus passes its frozen census.
+// consensus passes its frozen census. It must depend on the sender
+// only: an inbox holds each sender's messages back to back, so accept
+// and the tally's sender number are resolved once per run of messages
+// from one sender.
 func (c *Core) NoteInbox(inbox simnet.Inbox, accept func(ids.ID) bool) {
+	var from ids.ID
+	started, ok, bit := false, false, -1
 	for m := range inbox.All() {
-		if accept != nil && !accept(m.From) {
+		if !started || m.From != from {
+			from, started = m.From, true
+			ok = accept == nil || accept(from)
+			bit = -1
+		}
+		if !ok {
 			continue
 		}
 		switch p := m.Payload.(type) {
@@ -121,12 +129,10 @@ func (c *Core) NoteInbox(inbox simnet.Inbox, accept func(ids.ID) bool) {
 			if p.Instance != c.instance {
 				continue
 			}
-			senders := c.echoSenders[p.Candidate]
-			if senders == nil {
-				senders = make(map[ids.ID]struct{})
-				c.echoSenders[p.Candidate] = senders
+			if bit < 0 {
+				bit = c.echoes.senderBit(from)
 			}
-			senders[m.From] = struct{}{}
+			c.echoes.add(p.Candidate, bit)
 		case wire.Opinion:
 			if p.Instance != c.instance {
 				continue
@@ -171,16 +177,12 @@ func (c *Core) LoopRound(nv int, opinion wire.Value, emit func(wire.Payload)) Se
 	c.loopRound++
 
 	// Reliable-broadcast style candidate maintenance (Lines 7-10).
-	order := make([]ids.ID, 0, len(c.echoSenders))
-	for p := range c.echoSenders {
-		order = append(order, p)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	for _, p := range order {
+	for _, row := range c.echoes.byCandidate() {
+		p := c.echoes.cands[row]
 		if c.candidates.Contains(p) {
 			continue
 		}
-		count := len(c.echoSenders[p])
+		count := c.echoes.counts[row]
 		if census.AtLeastThird(count, nv) {
 			emit(wire.IDEcho{Instance: c.instance, Candidate: p})
 		}
@@ -189,7 +191,7 @@ func (c *Core) LoopRound(nv int, opinion wire.Value, emit func(wire.Payload)) Se
 		}
 	}
 	// Tallies are per-rotor-round: reset the window.
-	c.echoSenders = make(map[ids.ID]map[ids.ID]struct{})
+	c.echoes.reset()
 
 	sel := Selection{PrevCoordinator: c.lastSelected}
 	// Accept the opinion of the coordinator selected in the previous
@@ -200,7 +202,7 @@ func (c *Core) LoopRound(nv int, opinion wire.Value, emit func(wire.Payload)) Se
 			sel.OpinionOK = true
 		}
 	}
-	c.opinions = make(map[ids.ID]wire.Value)
+	clear(c.opinions)
 
 	if c.candidates.Len() == 0 {
 		return sel

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"uba/internal/simnet"
 	"uba/internal/trace"
 )
 
@@ -30,7 +31,13 @@ type degraded struct {
 	// suspended counts rounds skipped so far; the inner oracle's round
 	// clock runs `suspended` rounds behind the simulation's.
 	suspended int
+	// view is the current round's deliveries, held until Observe knows
+	// whether the round is disrupted: a suspended inner oracle sees
+	// neither the round's events nor its deliveries.
+	view simnet.Deliveries
 }
+
+var _ DeliveryOracle = (*degraded)(nil)
 
 // NewDegraded wraps a liveness oracle for graceful degradation under an
 // adversarial network: while a partition is live, and for `recovery`
@@ -74,11 +81,22 @@ func (d *degraded) disrupted(round int, events []trace.Event) bool {
 	return d.partition || (d.lastDisrupt > 0 && round-d.lastDisrupt < d.recovery)
 }
 
+// ObserveDeliveries implements DeliveryOracle. The view is forwarded
+// from Observe, once the round is known not to be suspended.
+func (d *degraded) ObserveDeliveries(_ int, view simnet.Deliveries) {
+	d.view = view
+}
+
 // Observe implements Oracle.
 func (d *degraded) Observe(round int, events []trace.Event) *Violation {
+	view := d.view
+	d.view = simnet.Deliveries{}
 	if d.disrupted(round, events) {
 		d.suspended++
 		return nil
+	}
+	if do, ok := d.inner.(DeliveryOracle); ok {
+		do.ObserveDeliveries(round-d.suspended, view)
 	}
 	v := d.inner.Observe(round-d.suspended, events)
 	if v != nil {

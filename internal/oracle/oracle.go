@@ -2,10 +2,13 @@
 // observers that watch a run round by round and report the first round in
 // which a protocol-level safety or liveness property is violated.
 //
-// An Oracle is fed each round's trace events (via a Suite attached as the
+// An Oracle is fed each round's engine events (via a Suite attached as the
 // network's simnet.RoundObserver) and may additionally probe protocol node
 // state through Prober callbacks supplied by the per-family constructors
-// (ForConsensus, ForBroadcast, ...). Catching a violation *online*, in the
+// (ForConsensus, ForBroadcast, ...). The few oracles that read the round's
+// deliveries implement DeliveryOracle and range over the engine's lazy
+// simnet.Deliveries view, so a suite of oracles that never do costs the
+// round nothing per delivery. Catching a violation *online*, in the
 // round it first becomes observable, is what makes the chaos campaign's
 // failure shrinking (internal/chaos) possible: the shrinker re-runs a
 // candidate configuration and asks only "does the same oracle still fire?".
@@ -39,10 +42,11 @@ type Violation struct {
 }
 
 // Oracle is one online safety monitor. Observe is called once per
-// completed round with the round's trace events (delivery events carry
-// the canonical wire encoding in Enc; containment events precede them).
-// The events slice is reused by the engine and must not be retained.
-// A non-nil return stops further Observe calls to this oracle.
+// completed round with the round's engine events (fault-plan,
+// containment and link-fault events; see simnet.Config.Observer).
+// Deliveries reach an oracle only through DeliveryOracle. The events
+// slice is reused by the engine and must not be retained. A non-nil
+// return stops further Observe calls to this oracle.
 type Oracle interface {
 	// Name identifies the monitor in violations and repro files.
 	Name() string
@@ -200,6 +204,17 @@ func (f *funcOracle) Observe(round int, events []trace.Event) *Violation {
 	return f.fn(round, events)
 }
 
+// DeliveryOracle is the optional extension of Oracle for monitors that
+// read the round's deliveries. ObserveDeliveries runs just before
+// Observe for the same round; a violation it finds is returned by that
+// Observe call, so violations keep the suite's oracle order within a
+// round. The view is valid only for the duration of the call.
+type DeliveryOracle interface {
+	Oracle
+	// ObserveDeliveries reads one round's deliveries.
+	ObserveDeliveries(round int, d simnet.Deliveries)
+}
+
 // RBAcceptance is one reliable-broadcast acceptance probed from node
 // state, checked by NewNoForgedSender.
 type RBAcceptance struct {
@@ -221,15 +236,24 @@ type noForgedSender struct {
 	// claimed source (delivery events where the engine-stamped sender
 	// equals the payload's Source field).
 	genuine map[string]struct{}
+	// pending is a violation ObserveDeliveries found, reported by the
+	// Observe call of the same round.
+	pending *Violation
 }
+
+var _ DeliveryOracle = (*noForgedSender)(nil)
 
 // NewNoForgedSender returns the unforgeability monitor for reliable
 // broadcast: no node may accept (m, s) for a *correct* source s unless s
-// really broadcast m. Genuine broadcasts are learned from the delivery
-// events (the engine stamps true senders, so an rbmessage whose stamped
-// sender equals its claimed source is genuine); acceptances are probed
-// from node state. It also flags a correct node transmitting an rbmessage
-// with a foreign source — something no correct implementation does.
+// really broadcast m. Genuine broadcasts are learned from the round's
+// deliveries (the engine stamps true senders, so an rbmessage whose
+// stamped sender equals its claimed source is genuine) — every delivered
+// copy, corrupted and fault-demoted ones included — read through the
+// simnet.Deliveries view, or from delivery events handed to Observe
+// directly (replaying a recorded transcript). Acceptances are probed
+// from node state. It also flags a correct node transmitting an
+// rbmessage with a foreign source — something no correct implementation
+// does.
 func NewNoForgedSender(name string, correct *ids.Set, accepted func() []RBAcceptance) Oracle {
 	return &noForgedSender{
 		name:     name,
@@ -247,32 +271,56 @@ func pairKey(source ids.ID, body []byte) string {
 	return fmt.Sprintf("%d|%x", source, body)
 }
 
+// ObserveDeliveries implements DeliveryOracle: it learns the round's
+// genuine broadcasts, stopping at the first foreign-source rbmessage
+// from a correct node (reported by the following Observe).
+func (o *noForgedSender) ObserveDeliveries(round int, d simnet.Deliveries) {
+	for e := range d.All() {
+		if o.pending = o.delivered(round, &e); o.pending != nil {
+			return
+		}
+	}
+}
+
+// delivered folds one delivery event into the genuine set, or returns
+// the violation of a correct node transmitting a foreign-source
+// rbmessage.
+func (o *noForgedSender) delivered(round int, e *trace.Event) *Violation {
+	if e.Kind != wire.KindRBMessage.String() || e.Enc == "" {
+		return nil
+	}
+	p, err := wire.Decode([]byte(e.Enc))
+	if err != nil {
+		return nil // engine fuzzing can deliver anything; not this oracle's concern
+	}
+	m, ok := p.(wire.RBMessage)
+	if !ok {
+		return nil
+	}
+	if ids.ID(e.From) == m.Source {
+		o.genuine[pairKey(m.Source, m.Body)] = struct{}{}
+		return nil
+	}
+	if o.correct.Contains(ids.ID(e.From)) {
+		return &Violation{
+			Oracle: o.name,
+			Round:  round,
+			Detail: fmt.Sprintf("correct node %d transmitted rbmessage claiming source %d",
+				e.From, m.Source),
+		}
+	}
+	return nil
+}
+
 // Observe implements Oracle.
 func (o *noForgedSender) Observe(round int, events []trace.Event) *Violation {
+	if v := o.pending; v != nil {
+		o.pending = nil
+		return v
+	}
 	for i := range events {
-		e := &events[i]
-		if e.Kind != wire.KindRBMessage.String() || e.Enc == "" {
-			continue
-		}
-		p, err := wire.Decode([]byte(e.Enc))
-		if err != nil {
-			continue // engine fuzzing can deliver anything; not this oracle's concern
-		}
-		m, ok := p.(wire.RBMessage)
-		if !ok {
-			continue
-		}
-		if ids.ID(e.From) == m.Source {
-			o.genuine[pairKey(m.Source, m.Body)] = struct{}{}
-			continue
-		}
-		if o.correct.Contains(ids.ID(e.From)) {
-			return &Violation{
-				Oracle: o.name,
-				Round:  round,
-				Detail: fmt.Sprintf("correct node %d transmitted rbmessage claiming source %d",
-					e.From, m.Source),
-			}
+		if v := o.delivered(round, &events[i]); v != nil {
+			return v
 		}
 	}
 	for _, acc := range o.accepted() {
@@ -293,15 +341,23 @@ func (o *noForgedSender) Observe(round int, events []trace.Event) *Violation {
 
 // Suite runs a set of oracles over a simulation, one Observe sweep per
 // round. It implements simnet.RoundObserver, so it attaches directly as
-// Config.Observer. Each oracle reports at most one violation (its first);
-// the suite keeps observing the remaining oracles after one fires.
+// Config.Observer, and simnet.DeliveryObserver, forwarding the round's
+// Deliveries view to its DeliveryOracles. A wrapper that attaches a
+// suite indirectly must forward ObserveDeliveries too: without it the
+// delivery oracles see no traffic (NewNoForgedSender would then flag
+// every genuine acceptance). Each oracle reports at most one violation
+// (its first); the suite keeps observing the remaining oracles after
+// one fires.
 type Suite struct {
 	oracles    []Oracle
 	fired      []bool
 	violations []Violation
 }
 
-var _ simnet.RoundObserver = (*Suite)(nil)
+var (
+	_ simnet.RoundObserver    = (*Suite)(nil)
+	_ simnet.DeliveryObserver = (*Suite)(nil)
+)
 
 // NewSuite builds a suite over the given oracles.
 func NewSuite(oracles ...Oracle) *Suite {
@@ -312,6 +368,20 @@ func NewSuite(oracles ...Oracle) *Suite {
 func (s *Suite) Add(o Oracle) {
 	s.oracles = append(s.oracles, o)
 	s.fired = append(s.fired, false)
+}
+
+// ObserveDeliveries implements simnet.DeliveryObserver: every
+// not-yet-fired DeliveryOracle reads the round's view, just before the
+// ObserveRound sweep that reports what it found.
+func (s *Suite) ObserveDeliveries(round int, d simnet.Deliveries) {
+	for i, o := range s.oracles {
+		if s.fired[i] {
+			continue
+		}
+		if do, ok := o.(DeliveryOracle); ok {
+			do.ObserveDeliveries(round, d)
+		}
+	}
 }
 
 // ObserveRound implements simnet.RoundObserver.

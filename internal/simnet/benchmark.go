@@ -122,10 +122,12 @@ func (rp *RoundPhases) StepOnly() error {
 }
 
 // RouteOnly routes one frozen round's send stream — block-local sort,
-// dedup, arena sizing, sharded delivery, Collector flush — without
-// stepping any process. The template is copied first, so the in-place
-// sort cannot make later iterations cheaper.
+// dedup, arena sizing, sharded delivery, Collector flush, and the
+// round-boundary dispatch to an observer attached with SetObserver —
+// without stepping any process. The template is copied first, so the
+// in-place sort cannot make later iterations cheaper.
 func (rp *RoundPhases) RouteOnly() {
+	rp.net.epoch++
 	rp.net.round++
 	if cap(rp.scratch) < len(rp.template) {
 		rp.scratch = make([]send, len(rp.template))
@@ -133,9 +135,15 @@ func (rp *RoundPhases) RouteOnly() {
 	outs := rp.scratch[:len(rp.template)]
 	copy(outs, rp.template)
 	acct := rp.net.accountRound(outs)
-	deliveries, bytes := rp.net.route(outs)
-	rp.col.AddRound(rp.net.round, acct.Broadcasts, acct.Unicasts, deliveries, bytes)
+	acct.Deliveries, acct.Bytes = rp.net.route(outs)
+	rp.col.AddRound(rp.net.round, acct.Broadcasts, acct.Unicasts, acct.Deliveries, acct.Bytes)
+	rp.net.publishRound(acct)
 }
+
+// SetObserver attaches obs as the fixture network's Config.Observer, so
+// RouteOnly also prices the observer dispatch (the observed perf-smoke
+// rows).
+func (rp *RoundPhases) SetObserver(obs RoundObserver) { rp.net.cfg.Observer = obs }
 
 // Close retires the underlying network and recycles its scratch.
 func (rp *RoundPhases) Close() { rp.net.Close() }

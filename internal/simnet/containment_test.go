@@ -1,7 +1,10 @@
 package simnet
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -57,17 +60,31 @@ func (f *flood) Step(env *RoundEnv) {
 	}
 }
 
-// recorder captures the observer feed.
+// roundRecorder captures the observer feed: per round, the engine
+// events ObserveRound received followed by the expanded Deliveries view
+// ObserveDeliveries received just before it. It keeps the last view so
+// tests can probe it after its window closed.
 type roundRecorder struct {
-	rounds []int
-	events [][]trace.Event
+	rounds     []int
+	feeds      [][]trace.Event
+	deliveries []trace.Event
+	viewRound  int
+	last       Deliveries
+}
+
+func (r *roundRecorder) ObserveDeliveries(round int, d Deliveries) {
+	r.viewRound = round
+	r.last = d
+	r.deliveries = slices.Collect(d.All())
 }
 
 func (r *roundRecorder) ObserveRound(round int, events []trace.Event) {
+	if r.viewRound != round {
+		panic(fmt.Sprintf("ObserveRound(%d) without a preceding ObserveDeliveries (last view: round %d)", round, r.viewRound))
+	}
 	r.rounds = append(r.rounds, round)
-	cp := make([]trace.Event, len(events))
-	copy(cp, events)
-	r.events = append(r.events, cp)
+	feed := append(slices.Clone(events), r.deliveries...)
+	r.feeds = append(r.feeds, feed)
 }
 
 func TestPanicContainedAsCrashFault(t *testing.T) {
@@ -214,52 +231,122 @@ func TestByteQuotaPrefixPolicy(t *testing.T) {
 	}
 }
 
+// TestObserverFeedMatchesEventLog pins the round-boundary contract:
+// per round, the engine events handed to ObserveRound followed by the
+// Deliveries view's expansion are exactly the EventLog's record of that
+// round — same events, same order — at worker caps 1 (inline) and 3
+// (sharded delivery), with and without a fault plan whose link
+// drop/duplicate/corrupt/reorder rules are live and which crashes a
+// node, on top of a contained Step panic.
 func TestObserverFeedMatchesEventLog(t *testing.T) {
 	t.Parallel()
-	rng := rand.New(rand.NewSource(17))
-	nodeIDs := ids.Sparse(rng, 5)
-	log := trace.NewEventLog(0)
-	rec := &roundRecorder{}
-	net := New(Config{MaxRounds: 20, EventLog: log, Observer: rec})
+	const rounds = 6
+	nodeIDs := ids.Sparse(rand.New(rand.NewSource(17)), 7)
 	victim := nodeIDs[1]
-	for _, id := range nodeIDs {
-		var p Process
-		if id == victim {
-			p = &panicAt{ChatterProcess: ChatterProcess{Ident: id}, Round: 2}
-		} else {
-			p = &ChatterProcess{Ident: id}
+	faulty := &FaultPlan{Seed: 3, Events: []FaultEvent{
+		{Round: 1, Kind: FaultDrop, Rate: 0.15},
+		{Round: 1, Kind: FaultDuplicate, Rate: 0.15},
+		{Round: 1, Kind: FaultCorrupt, Rate: 0.15},
+		{Round: 1, Kind: FaultReorder, Rate: 0.5},
+		{Round: 3, Kind: FaultCrash, Node: uint64(nodeIDs[4])},
+	}}
+	for _, plan := range []*FaultPlan{nil, faulty} {
+		for _, workers := range []int{1, 3} {
+			label := "plan=nil"
+			if plan != nil {
+				label = "plan=links"
+			}
+			t.Run(fmt.Sprintf("%s/workers=%d", label, workers), func(t *testing.T) {
+				t.Parallel()
+				log := trace.NewEventLog(0)
+				rec := &roundRecorder{}
+				net := New(Config{Workers: workers, EventLog: log, Observer: rec, FaultPlan: plan})
+				for _, id := range nodeIDs {
+					var p Process = &ChatterProcess{Ident: id}
+					if id == victim {
+						p = &panicAt{ChatterProcess: ChatterProcess{Ident: id}, Round: 2}
+					}
+					if err := net.Add(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				seen := 0
+				kinds := map[string]bool{}
+				for r := 1; r <= rounds; r++ {
+					if err := net.RunRound(); err != nil {
+						t.Fatal(err)
+					}
+					logged := log.Events()
+					want := logged[seen:]
+					seen = len(logged)
+					if len(rec.feeds) != r || rec.rounds[r-1] != r {
+						t.Fatalf("after round %d the observer saw rounds %v", r, rec.rounds)
+					}
+					got := rec.feeds[r-1]
+					if !slices.Equal(got, want) {
+						t.Fatalf("round %d: observer feed (%d events) != EventLog slice (%d events)\n  feed: %+v\n  log:  %+v",
+							r, len(got), len(want), got, want)
+					}
+					for _, e := range got {
+						kinds[e.Kind] = true
+					}
+				}
+				// The feed really carried both halves: containment
+				// events, link-fault events on the faulty plan, and
+				// deliveries exposing the canonical encoding.
+				must := []string{trace.KindNodeCrashed, wire.KindInput.String()}
+				if plan != nil {
+					must = append(must, trace.KindLinkDrop, trace.KindLinkDup, trace.KindLinkCorrupt, trace.KindLinkReorder)
+				}
+				for _, k := range must {
+					if !kinds[k] {
+						t.Errorf("feed never carried a %q event", k)
+					}
+				}
+				for _, d := range rec.deliveries {
+					if d.Enc == "" {
+						t.Fatalf("delivery event missing Enc: %+v", d)
+					}
+				}
+
+				// Stale views: the last view is live until the network
+				// next changes, then ranging over it panics with
+				// ErrStaleDeliveries — after a RunRound, and after Close.
+				live := rec.last
+				if n := len(slices.Collect(live.All())); n != len(rec.deliveries) {
+					t.Fatalf("re-ranging a live view yielded %d deliveries, want %d", n, len(rec.deliveries))
+				}
+				if err := net.RunRound(); err != nil {
+					t.Fatal(err)
+				}
+				expectStale(t, "after RunRound", live)
+				current := rec.last
+				net.Close()
+				expectStale(t, "after Close", current)
+			})
 		}
-		if err := net.Add(p); err != nil {
-			t.Fatal(err)
+	}
+}
+
+// expectStale asserts that ranging over d panics with ErrStaleDeliveries.
+func expectStale(t *testing.T, when string, d Deliveries) {
+	t.Helper()
+	defer func() {
+		err, _ := recover().(error)
+		if !errors.Is(err, ErrStaleDeliveries) {
+			t.Fatalf("%s: ranging a stale view recovered %v, want ErrStaleDeliveries", when, err)
 		}
+	}()
+	for range d.All() {
 	}
-	for i := 0; i < 4; i++ {
-		if err := net.RunRound(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(rec.rounds) != 4 {
-		t.Fatalf("observer saw %d rounds, want 4", rec.rounds)
-	}
-	// Concatenating the per-round observer feeds reproduces the full
-	// event log: same events, same order.
-	var all []trace.Event
-	for _, ev := range rec.events {
-		all = append(all, ev...)
-	}
-	want := log.Events()
-	if len(all) != len(want) {
-		t.Fatalf("observer fed %d events, log has %d", len(all), len(want))
-	}
-	for i := range all {
-		if all[i] != want[i] {
-			t.Fatalf("event %d differs:\n  observer: %+v\n  log:      %+v", i, all[i], want[i])
-		}
-	}
-	// Delivered events expose the canonical encoding for monitors.
-	for _, e := range all {
-		if e.Kind != trace.KindNodeCrashed && e.Kind != trace.KindQuotaDrop && e.Enc == "" {
-			t.Fatalf("delivery event missing Enc: %+v", e)
-		}
+	t.Fatalf("%s: ranging a stale view did not panic", when)
+}
+
+// TestZeroDeliveriesIsEmpty pins the zero view: it yields nothing and
+// never panics, so oracles can be driven by hand without a network.
+func TestZeroDeliveriesIsEmpty(t *testing.T) {
+	t.Parallel()
+	for e := range (Deliveries{}).All() {
+		t.Fatalf("zero view yielded %+v", e)
 	}
 }

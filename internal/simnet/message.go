@@ -37,8 +37,9 @@
 //     queue prefix within budget survives) and recorded as a
 //     trace.KindQuotaDrop event — the valve that contains Byzantine
 //     amplification floods.
-//   - Config.Observer receives each round's trace events at the round
-//     boundary, the feed for the online safety oracles in
+//   - Config.Observer receives each round's engine events at the round
+//     boundary, and a DeliveryObserver a lazy Deliveries view of the
+//     round's traffic — the feed for the online safety oracles in
 //     internal/oracle.
 //
 // One round pipeline executes the process state machines. It shards
@@ -54,11 +55,12 @@
 // decisions (sort, dedup, arena sizing) all happen in a single
 // deterministic prepare pass before any worker runs; (3) each delivery
 // worker owns a contiguous, disjoint range of receivers — inbox
-// segments, contact sets, event buffers, and traffic tallies are all
-// per-shard — and shard boundaries depend only on the worker cap and
-// receiver count, never on timing; (4) per-shard results are reduced in
-// shard order, which is receiver order, so transcripts and reports are
-// identical for every worker cap (cap 1 is the one-shard instance).
+// segments, contact sets and traffic tallies are all per-shard — and
+// shard boundaries depend only on the worker cap and receiver count,
+// never on timing; (4) per-shard tallies are reduced in shard order,
+// and transcripts are expanded from the inbox views after the barrier
+// in receiver order, so transcripts and reports are identical for
+// every worker cap (cap 1 is the one-shard instance).
 //
 // # Sparse delivery and the buffer-recycling contract
 //

@@ -3,6 +3,7 @@ package simnet
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"sort"
 
 	"uba/internal/ids"
@@ -52,18 +53,23 @@ type Config struct {
 	// canonical transcript order is receiver-major: per round,
 	// deliveries are grouped by receiver in ascending node order, each
 	// receiver's messages in its inbox order. The transcript is the
-	// same for every worker cap (per-shard event buffers are merged in
-	// receiver order; see route.go). Fault-containment events
-	// (trace.KindNodeCrashed, trace.KindQuotaDrop) are recorded in node
-	// order at the start of the round they occurred in, before that
-	// round's deliveries.
+	// same for every worker cap (it is expanded from the round's inbox
+	// views after the route barrier; see deliveries.go). Engine events
+	// — fault-plan, containment (trace.KindNodeCrashed,
+	// trace.KindQuotaDrop) and link-fault events — are recorded at the
+	// start of the round they occurred in, before that round's
+	// deliveries.
 	EventLog *trace.EventLog
-	// Observer, when non-nil, receives each completed round's trace
-	// events at the round boundary — the feed for online safety oracles
-	// (internal/oracle). It sees exactly what the EventLog would record
-	// for the round: containment events first (node order), then the
-	// deliveries routed for the next round (receiver order). The slice
-	// is reused across rounds; observers must not retain it.
+	// Observer, when non-nil, is called at each completed round's
+	// boundary — the feed for online safety oracles (internal/oracle).
+	// ObserveRound's events carry the round's engine events only:
+	// fault-plan events (plan order), containment events (node order),
+	// then link-fault events (send order). Deliveries are not built for
+	// it: an observer that reads them implements DeliveryObserver and
+	// ranges over the Deliveries view, which yields them in the
+	// EventLog's order, so engine events followed by Deliveries.All are
+	// exactly the round's transcript. The events slice is reused across
+	// rounds; observers must not retain it.
 	Observer RoundObserver
 	// SendQuota, when positive, bounds the send operations one node may
 	// queue in one round. Excess sends are dropped deterministically
@@ -86,12 +92,14 @@ type Config struct {
 	FaultPlan *FaultPlan
 }
 
-// RoundObserver receives each completed round's trace events — the
+// RoundObserver receives each completed round's engine events — the
 // attachment point for online safety monitors. ObserveRound is called
 // once per successful round, from the goroutine driving the network,
 // after the round's phase barriers — whatever the worker cap, it never
-// runs concurrently with a Step. The events slice is valid only for
-// the duration of the call.
+// runs concurrently with a Step. The events are the round's
+// fault-plan, containment and link-fault events (see Config.Observer);
+// deliveries reach an observer only through DeliveryObserver. The
+// events slice is valid only for the duration of the call.
 type RoundObserver interface {
 	ObserveRound(round int, events []trace.Event)
 }
@@ -213,10 +221,18 @@ type Network struct {
 
 	// Containment state: contained panics in occurrence order, plus
 	// round-scoped event scratch (containment events of the current
-	// round, and the combined event slice handed to cfg.Observer).
+	// round, and the combined engine-event slice of a fault-plan round;
+	// see engineEvents).
 	crashes     []CrashRecord
 	stepEvents  []trace.Event
 	roundEvents []trace.Event
+
+	// epoch numbers the network's states between mutations (RunRound,
+	// Add, Remove, Close); a Deliveries view is valid only in the
+	// epoch it was taken in. deliverySeq is eachDelivery, bound once so
+	// handing out a view's iterator allocates nothing.
+	epoch       uint64
+	deliverySeq iter.Seq[trace.Event]
 
 	// faults is the compiled Config.FaultPlan, nil for fault-free runs
 	// (the certified hot path checks this one pointer and nothing else).
@@ -272,6 +288,7 @@ func New(cfg Config) *Network {
 			n.faults = newFaultState(cfg.FaultPlan)
 		}
 	}
+	n.deliverySeq = n.eachDelivery
 	n.adoptScratch()
 	return n
 }
@@ -294,6 +311,7 @@ func (n *Network) add(p Process, byzantine bool) error {
 	if _, exists := n.procs[id]; exists {
 		return fmt.Errorf("%w: %v", ErrDuplicateID, id)
 	}
+	n.epoch++
 	st := &procState{
 		proc:      p,
 		id:        id,
@@ -322,6 +340,7 @@ func (n *Network) Remove(id ids.ID) {
 	if _, ok := n.procs[id]; !ok {
 		return
 	}
+	n.epoch++
 	delete(n.procs, id)
 	i := sort.Search(len(n.order), func(i int) bool { return n.order[i] >= id })
 	if i < len(n.order) && n.order[i] == id {
@@ -366,6 +385,7 @@ func (n *Network) Process(id ids.ID) Process {
 //
 // RunRound on a closed network returns ErrClosed.
 func (n *Network) RunRound() error {
+	n.epoch++
 	if n.closed {
 		return ErrClosed
 	}
@@ -385,12 +405,6 @@ func (n *Network) RunRound() error {
 		n.err = err
 		return err
 	}
-	if n.cfg.EventLog != nil {
-		if n.faults != nil {
-			n.cfg.EventLog.RecordBatch(n.faults.planEvents)
-		}
-		n.cfg.EventLog.RecordBatch(n.stepEvents)
-	}
 	var statsObs RoundStatsObserver
 	if n.cfg.Observer != nil {
 		statsObs, _ = n.cfg.Observer.(RoundStatsObserver)
@@ -407,12 +421,7 @@ func (n *Network) RunRound() error {
 	if n.cfg.Collector != nil {
 		n.cfg.Collector.AddRound(n.round, acct.Broadcasts, acct.Unicasts, deliveries, bytes)
 	}
-	if n.cfg.Observer != nil {
-		n.cfg.Observer.ObserveRound(n.round, n.roundEvents)
-	}
-	if statsObs != nil {
-		statsObs.ObserveRoundStats(n.round, acct)
-	}
+	n.publishRound(acct)
 	return nil
 }
 

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"uba/internal/ids"
-	"uba/internal/trace"
 )
 
 // This file is the routing/delivery half of a round. Broadcast-heavy
@@ -59,28 +58,29 @@ import (
 //     materialized engine produced. Delivery and byte tallies are
 //     computed arithmetically (per-receiver: B broadcasts plus its
 //     bucket; bytes: the block's byte total plus the bucket's) without
-//     touching message data; only contact-set maintenance and
-//     transcript logging walk the merge, and only when enabled. Every
-//     inbox, contact set, per-shard tally and per-shard event buffer is
-//     written by exactly one worker, so the pass needs no locks and its
-//     output is independent of worker scheduling.
+//     touching message data; only contact-set maintenance reads
+//     messages (a set insert per sender, so it walks the block and the
+//     segment without merging them), and only when the contact rule is
+//     enforced. No trace event is built here. Every inbox, contact set and per-shard tally
+//     is written by exactly one worker, so the pass needs no locks and
+//     its output is independent of worker scheduling.
 //
-//  5. Merge (route). Per-shard delivery/byte tallies are reduced and
-//     per-shard event buffers appended to the EventLog in shard — i.e.
-//     receiver — order, so the transcript and the Collector flush are
-//     identical for every worker cap and across runs. The canonical
-//     transcript order is receiver-major: deliveries grouped by
-//     receiver in ascending node order, each receiver's messages in
-//     inbox order.
+//  5. Merge (route). Per-shard delivery/byte tallies are reduced in
+//     shard — i.e. receiver — order, so the Collector flush is
+//     identical for every worker cap and across runs. Transcript and
+//     observer consumers read the deliveries afterwards, on demand,
+//     through the Deliveries view (deliveries.go): it expands the inbox
+//     views this pass handed out in the canonical receiver-major order
+//     — deliveries grouped by receiver in ascending node order, each
+//     receiver's messages in inbox order — so nothing is built for a
+//     consumer that never iterates.
 
 // routeShard is one worker's slice of the delivery pass: the receiver
-// range [lo, hi) plus the tallies and the event buffer that worker owns.
-// The slices are scratch, recycled across rounds.
+// range [lo, hi) plus the tallies that worker owns.
 type routeShard struct {
 	lo, hi     int
 	deliveries int64
 	bytes      int64
-	events     []trace.Event
 }
 
 // route fans out and filters the round's sends into next-round inboxes
@@ -91,7 +91,7 @@ type routeShard struct {
 // the string compares and equal digests fall back to comparing full
 // encodings, so a 64-bit collision can never drop a distinct message).
 //
-//lint:noalloc the fan-out runs every round; shard table and event buffers are recycled, growth is capacity-guarded
+//lint:noalloc the fan-out runs every round; the shard table is recycled, growth is capacity-guarded
 func (n *Network) route(outs []send) (deliveries, bytes int64) {
 	n.routePrepare(outs)
 
@@ -107,40 +107,12 @@ func (n *Network) route(outs []send) (deliveries, bytes int64) {
 		shards[s].hi = (s + 1) * nl / nshards
 		shards[s].deliveries = 0
 		shards[s].bytes = 0
-		shards[s].events = shards[s].events[:0]
 	}
 	n.runRouteShards(nshards)
 
 	for s := range shards {
 		deliveries += shards[s].deliveries
 		bytes += shards[s].bytes
-	}
-	if n.cfg.EventLog != nil {
-		if n.faults != nil {
-			n.cfg.EventLog.RecordBatch(n.faults.linkEvents)
-		}
-		for s := range shards {
-			n.cfg.EventLog.RecordBatch(shards[s].events)
-		}
-	}
-	if n.cfg.Observer != nil {
-		// Assemble the round's observer view in the canonical record
-		// order: fault-plan events (plan order), containment events
-		// (node order, from the step merge), link-fault events (send
-		// order, from the serial filter), then deliveries in shard —
-		// i.e. receiver — order: the same order the EventLog records.
-		ev := n.roundEvents[:0]
-		if n.faults != nil {
-			ev = append(ev, n.faults.planEvents...)
-		}
-		ev = append(ev, n.stepEvents...)
-		if n.faults != nil {
-			ev = append(ev, n.faults.linkEvents...)
-		}
-		for s := range shards {
-			ev = append(ev, shards[s].events...)
-		}
-		n.roundEvents = ev
 	}
 	return deliveries, bytes
 }
@@ -309,16 +281,14 @@ func (n *Network) routePrepare(outs []send) {
 // routeShardDeliver hands out the inbox views of the receivers in sh's
 // range. It is safe to run concurrently for disjoint shards: it writes
 // only the shard's receivers' inboxes/contact sets and the shard's own
-// tallies and event buffer; the broadcast block, the unicast arena and
-// the index lists the views read through are written only by the serial
-// prepare pass and are read-only here.
+// tallies; the broadcast block, the unicast arena and the index lists
+// the views read through are written only by the serial prepare pass
+// and are read-only here.
 //
 //lint:shardsafe owns=sh the shard ranges partition the receivers; inboxes in [sh.lo, sh.hi) are shard-owned
-//lint:noalloc the delivery walk runs per receiver per round; inboxes are views and event buffers are shard-owned recycled scratch
+//lint:noalloc the delivery walk runs per receiver per round; inboxes are views over the shared block and arena
 //lint:nonblock route tasks run to the pool's phase barrier; a blocking shard would deadlock the round against it
 func (n *Network) routeShardDeliver(sh *routeShard) {
-	logging := n.cfg.EventLog != nil || n.cfg.Observer != nil
-	round := n.round + 1 // deliveries land at the start of the next round
 	nb := len(n.bcastBlock)
 	var deliveries, bytes int64
 	for i := sh.lo; i < sh.hi; i++ {
@@ -352,36 +322,18 @@ func (n *Network) routeShardDeliver(sh *routeShard) {
 		for j := ulo; j < uhi; j++ {
 			bytes += int64(len(n.uniArena[j].encoded))
 		}
-		if st.contacts == nil && !logging {
+		if st.contacts == nil {
 			continue
 		}
-		// Contact-set maintenance and transcript logging are the only
-		// consumers that need the merged order; walk it just for them.
-		bi, ui := 0, ulo
-		for bi < nb || ui < uhi {
-			var m Received
-			if ui >= uhi || (bi < nb && n.bcastIdx[bi] < n.uniIdx[ui]) {
-				m = n.bcastBlock[bi]
-				bi++
-			} else {
-				m = n.uniArena[ui]
-				ui++
-			}
-			if st.contacts != nil {
-				//lint:coldpath contact-set maintenance runs only under EnforceContactRule, which the measured hot path disables
-				st.contacts[m.From] = struct{}{}
-			}
-			if logging {
-				sh.events = append(sh.events, trace.Event{
-					Round:     round,
-					From:      uint64(m.From),
-					To:        uint64(st.id),
-					Kind:      m.Payload.Kind().String(),
-					Size:      len(m.encoded),
-					Broadcast: m.bcast,
-					Enc:       m.encoded,
-				})
-			}
+		// Contact-set maintenance is a set insert per sender, so the
+		// merge order is irrelevant: walk both sides directly.
+		for j := range nb {
+			//lint:coldpath contact-set maintenance runs only under EnforceContactRule, which the measured hot path disables
+			st.contacts[n.bcastBlock[j].From] = struct{}{}
+		}
+		for j := ulo; j < uhi; j++ {
+			//lint:coldpath contact-set maintenance runs only under EnforceContactRule, which the measured hot path disables
+			st.contacts[n.uniArena[j].From] = struct{}{}
 		}
 	}
 	sh.deliveries, sh.bytes = deliveries, bytes

@@ -131,6 +131,7 @@ func (n *Network) Close() {
 		return
 	}
 	n.closed = true
+	n.epoch++
 	if n.ownsSched && n.sched != nil {
 		n.sched.Close()
 	}

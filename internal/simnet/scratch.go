@@ -99,11 +99,7 @@ func (n *Network) releaseScratch() {
 	clear(n.uniArena[:cap(n.uniArena)])
 	n.bcastLive, n.uniLive = 0, 0
 	shards := n.shards[:cap(n.shards)]
-	for i := range shards {
-		ev := shards[i].events
-		clear(ev[:cap(ev)])
-		shards[i] = routeShard{events: ev[:0]}
-	}
+	clear(shards)
 	*s = netScratch{
 		outs:         n.outs[:0],
 		results:      n.results[:0],

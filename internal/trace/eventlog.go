@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"iter"
 	"sync"
 )
 
@@ -119,13 +120,13 @@ func (l *EventLog) Record(e Event) {
 }
 
 // RecordBatch appends a batch of events under one lock acquisition —
-// the flush path for the round engine's per-shard event buffers (one
-// call per shard per round instead of one lock per delivery). The
-// capacity bound is applied exactly as for Record: events beyond the
-// capacity are counted as dropped, not stored. The batch is copied;
-// the caller may reuse its slice.
+// the flush path for the round engine's per-round engine events (one
+// call per round instead of one lock per event). The capacity bound is
+// applied exactly as for Record: events beyond the capacity are
+// counted as dropped, not stored. The batch is copied; the caller may
+// reuse its slice.
 //
-//lint:noalloc the per-shard flush appends into the log's own backing array under one lock acquisition
+//lint:noalloc the per-round flush appends into the log's own backing array under one lock acquisition
 func (l *EventLog) RecordBatch(events []Event) {
 	if len(events) == 0 {
 		return
@@ -142,6 +143,23 @@ func (l *EventLog) RecordBatch(events []Event) {
 		events = events[:room]
 	}
 	l.events = append(l.events, events...)
+}
+
+// RecordSeq appends a sequence of events under one lock acquisition —
+// the flush path for the round engine's deliveries, which it expands on
+// demand from the round's inbox views rather than buffering them. The
+// capacity bound is applied exactly as for Record: events beyond the
+// capacity are counted as dropped, not stored.
+func (l *EventLog) RecordSeq(events iter.Seq[Event]) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for e := range events {
+		if len(l.events) >= l.cap {
+			l.dropped++
+			continue
+		}
+		l.events = append(l.events, e)
+	}
 }
 
 // Events returns a copy of the recorded events in delivery order.

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -71,24 +72,34 @@ func TestEventLogRecordBatch(t *testing.T) {
 	}
 }
 
+// TestEventLogRecordBatchCapacity pins the capacity policy of both
+// flush paths — a slice batch and a lazily expanded sequence (the
+// engine's deliveries): a batch is stored up to the capacity, in order,
+// and the rest is counted as dropped.
 func TestEventLogRecordBatchCapacity(t *testing.T) {
 	t.Parallel()
-	l := NewEventLog(3)
-	l.Record(Event{Round: 1, Kind: "pre"})
-	l.RecordBatch([]Event{{Kind: "a"}, {Kind: "b"}, {Kind: "c"}, {Kind: "d"}})
-	if got := len(l.Events()); got != 3 {
-		t.Fatalf("stored %d events, want 3 (capacity)", got)
+	flushes := map[string]func(*EventLog, []Event){
+		"RecordBatch": (*EventLog).RecordBatch,
+		"RecordSeq":   func(l *EventLog, b []Event) { l.RecordSeq(slices.Values(b)) },
 	}
-	if l.Events()[2].Kind != "b" {
-		t.Fatalf("batch truncated at the wrong point: %+v", l.Events())
-	}
-	if l.Dropped() != 2 {
-		t.Fatalf("dropped %d, want 2", l.Dropped())
-	}
-	// A full log counts the whole batch as dropped.
-	l.RecordBatch([]Event{{Kind: "e"}, {Kind: "f"}})
-	if l.Dropped() != 4 {
-		t.Fatalf("dropped %d, want 4", l.Dropped())
+	for name, flush := range flushes {
+		l := NewEventLog(3)
+		l.Record(Event{Round: 1, Kind: "pre"})
+		flush(l, []Event{{Kind: "a"}, {Kind: "b"}, {Kind: "c"}, {Kind: "d"}})
+		if got := len(l.Events()); got != 3 {
+			t.Fatalf("%s stored %d events, want 3 (capacity)", name, got)
+		}
+		if l.Events()[2].Kind != "b" {
+			t.Fatalf("%s truncated at the wrong point: %+v", name, l.Events())
+		}
+		if l.Dropped() != 2 {
+			t.Fatalf("%s dropped %d, want 2", name, l.Dropped())
+		}
+		// A full log counts the whole batch as dropped.
+		flush(l, []Event{{Kind: "e"}, {Kind: "f"}})
+		if l.Dropped() != 4 {
+			t.Fatalf("%s dropped %d, want 4", name, l.Dropped())
+		}
 	}
 }
 

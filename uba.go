@@ -122,9 +122,13 @@ type Config struct {
 	EventLog *trace.EventLog
 	// CrashAfterRound is used by AdversaryCrash (default 5).
 	CrashAfterRound int
-	// Observer, when non-nil, receives each round's trace events at the
-	// round boundary — the attachment point for online safety oracles
-	// (internal/oracle.Suite implements it).
+	// Observer, when non-nil, is called at each round boundary — the
+	// attachment point for online safety oracles (internal/oracle.Suite
+	// implements it). ObserveRound's events carry the round's engine
+	// events only (containment: crashes and quota drops); an observer
+	// that reads deliveries implements simnet.DeliveryObserver and
+	// ranges over the round's lazy simnet.Deliveries view. See
+	// simnet.Config.Observer.
 	Observer simnet.RoundObserver
 	// SendQuota bounds the messages any one node may queue per round
 	// (0 = unlimited); see simnet.Config.SendQuota.
@@ -217,10 +221,18 @@ func newCluster(cfg Config, family string) (*cluster, error) {
 
 // obsMux fans the engine's observer callbacks out to the caller's
 // observer and the harness's own oracle suite, including the
-// round-accounting extension when either side implements it.
+// deliveries and round-accounting extensions when either side
+// implements them.
 type obsMux struct {
 	user  simnet.RoundObserver
 	suite *oracle.Suite
+}
+
+func (m obsMux) ObserveDeliveries(round int, d simnet.Deliveries) {
+	if do, ok := m.user.(simnet.DeliveryObserver); ok {
+		do.ObserveDeliveries(round, d)
+	}
+	m.suite.ObserveDeliveries(round, d)
 }
 
 func (m obsMux) ObserveRound(round int, events []trace.Event) {
