@@ -143,22 +143,23 @@ func phaseSpec(phase, runner string, n int) benchSpec {
 	return planPhaseSpec(phase, runner, n, false)
 }
 
-// nopObserver implements simnet.RoundObserver, RoundStatsObserver and
-// DeliveryObserver and ignores every call. It never ranges over the
-// Deliveries view, so it prices the round-boundary dispatch alone —
-// what every facade run pays for its always-attached complexity oracle.
+// nopObserver implements simnet.RoundObserver and DeliveryObserver and
+// ignores every call. It never ranges over the Deliveries view, so it
+// prices the round-boundary dispatch alone — what every facade run
+// pays for its always-attached complexity oracle.
 type nopObserver struct{}
 
 func (nopObserver) ObserveRound(int, []trace.Event)               {}
 func (nopObserver) ObserveRoundStats(int, simnet.RoundAccounting) {}
 func (nopObserver) ObserveDeliveries(int, simnet.Deliveries)      {}
 
-// observedRouteSpec is the route-phase row with nopObserver attached: every op also runs the round-boundary dispatch — the
-// Deliveries view, ObserveRound, ObserveRoundStats — that every facade
-// run pays for its always-attached complexity oracle. The observer
-// never ranges over the view, so paired with the unobserved row of the
-// same shape the ratio is the whole price of attaching an observer
-// that reads no deliveries (perf-smoke gates it; see maxObservedRatio).
+// observedRouteSpec is the route-phase row with nopObserver attached:
+// every op also runs the round-boundary dispatch — the Deliveries
+// view, ObserveRoundStats, ObserveRound — that every facade run pays
+// for its always-attached complexity oracle. The observer never ranges
+// over the view, so paired with the unobserved row of the same shape
+// the ratio is the whole price of attaching an observer that reads no
+// deliveries (perf-smoke gates it; see maxObservedRatio).
 func observedRouteSpec(runner string, n int) benchSpec {
 	spec := phaseSpec("route", runner, n)
 	spec.name += "/observed"

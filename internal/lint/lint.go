@@ -11,8 +11,8 @@ import (
 	"uba/internal/lint/noalloc"
 	"uba/internal/lint/nonblock"
 	"uba/internal/lint/retainenv"
-	"uba/internal/lint/sharedstate"
 	"uba/internal/lint/shardsafe"
+	"uba/internal/lint/sharedstate"
 	"uba/internal/lint/summary"
 	"uba/internal/lint/wirereg"
 

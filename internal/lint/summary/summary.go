@@ -89,10 +89,10 @@ const MaxTracked = 32
 // participant count n. SendQuad is the top: anything at or above O(n²)
 // collapses onto it.
 const (
-	SendNone  uint8 = iota // no sends on any path
-	SendConst              // O(1): a bounded number of sends
-	SendLinear             // O(n): sends inside one participant-indexed loop
-	SendQuad               // O(n²) or worse
+	SendNone   uint8 = iota // no sends on any path
+	SendConst               // O(1): a bounded number of sends
+	SendLinear              // O(n): sends inside one participant-indexed loop
+	SendQuad                // O(n²) or worse
 )
 
 // ClassJoin is the lattice join (max): the class of two alternative

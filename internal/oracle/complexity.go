@@ -11,8 +11,6 @@ import (
 	"fmt"
 
 	"uba/internal/complexity"
-	"uba/internal/simnet"
-	"uba/internal/trace"
 )
 
 // DefaultComplexitySlack is the constant-factor slack the campaigns
@@ -29,7 +27,7 @@ const DefaultComplexitySlack = 8
 // bound for the round's live-node count. Byzantine senders are already
 // excluded by the engine's accounting — an adversary is free to flood.
 // A zero or negative slack selects DefaultComplexitySlack.
-func NewComplexity(family string, ct complexity.Contract, slack int) StatsOracle {
+func NewComplexity(family string, ct complexity.Contract, slack int) Oracle {
 	if slack <= 0 {
 		slack = DefaultComplexitySlack
 	}
@@ -43,7 +41,7 @@ func NewComplexity(family string, ct complexity.Contract, slack int) StatsOracle
 // NewComplexityFor is NewComplexity with the contract looked up in the
 // certified registry; it returns nil (attach nothing) for families
 // without a registered contract.
-func NewComplexityFor(family string, slack int) StatsOracle {
+func NewComplexityFor(family string, slack int) Oracle {
 	ct, ok := complexity.Lookup(family)
 	if !ok {
 		return nil
@@ -59,18 +57,13 @@ type complexityOracle struct {
 
 func (o *complexityOracle) Name() string { return o.name }
 
-// Observe implements Oracle; the complexity oracle reads the round
-// ledger, not the event stream.
-func (o *complexityOracle) Observe(round int, events []trace.Event) *Violation {
-	return nil
-}
-
-// ObserveStats implements StatsOracle.
-func (o *complexityOracle) ObserveStats(round int, acct simnet.RoundAccounting) *Violation {
-	if v := o.exceeds(round, "broadcasts", o.ct.Broadcasts, acct.CorrectMaxBroadcasts, acct.Nodes); v != nil {
+// Observe implements Oracle; the complexity oracle reads the round's
+// ledger, not its events or deliveries.
+func (o *complexityOracle) Observe(r Round) *Violation {
+	if v := o.exceeds(r.N, "broadcasts", o.ct.Broadcasts, r.Acct.CorrectMaxBroadcasts, r.Acct.Nodes); v != nil {
 		return v
 	}
-	return o.exceeds(round, "unicasts", o.ct.Unicasts, acct.CorrectMaxUnicasts, acct.Nodes)
+	return o.exceeds(r.N, "unicasts", o.ct.Unicasts, r.Acct.CorrectMaxUnicasts, r.Acct.Nodes)
 }
 
 func (o *complexityOracle) exceeds(round int, kind string, c complexity.Class, observed, nodes int) *Violation {

@@ -1,9 +1,6 @@
 package oracle
 
-import (
-	"uba/internal/simnet"
-	"uba/internal/trace"
-)
+import "uba/internal/trace"
 
 // This file is the graceful-degradation layer for fault-plan runs
 // (simnet.FaultPlan): liveness monitors cannot distinguish "the
@@ -31,13 +28,7 @@ type degraded struct {
 	// suspended counts rounds skipped so far; the inner oracle's round
 	// clock runs `suspended` rounds behind the simulation's.
 	suspended int
-	// view is the current round's deliveries, held until Observe knows
-	// whether the round is disrupted: a suspended inner oracle sees
-	// neither the round's events nor its deliveries.
-	view simnet.Deliveries
 }
-
-var _ DeliveryOracle = (*degraded)(nil)
 
 // NewDegraded wraps a liveness oracle for graceful degradation under an
 // adversarial network: while a partition is live, and for `recovery`
@@ -45,9 +36,9 @@ var _ DeliveryOracle = (*degraded)(nil)
 // drop/corrupt/duplicate/reorder activity), the inner oracle is not
 // consulted at all and the round is not charged to it. When the
 // network has been quiet for `recovery` rounds, the inner oracle
-// resumes with a warped round clock — Observe(round - suspendedRounds)
-// — so e.g. a termination bound of B means "B rounds of undisrupted
-// network", not B wall rounds. A violation the inner oracle reports is
+// resumes with a warped round clock — it sees the whole Round with
+// N = round - suspendedRounds — so e.g. a termination bound of B means
+// "B rounds of undisrupted network", not B wall rounds. A violation the inner oracle reports is
 // re-stamped with the real simulation round.
 func NewDegraded(inner Oracle, recovery int) Oracle {
 	if recovery < 0 {
@@ -81,28 +72,21 @@ func (d *degraded) disrupted(round int, events []trace.Event) bool {
 	return d.partition || (d.lastDisrupt > 0 && round-d.lastDisrupt < d.recovery)
 }
 
-// ObserveDeliveries implements DeliveryOracle. The view is forwarded
-// from Observe, once the round is known not to be suspended.
-func (d *degraded) ObserveDeliveries(_ int, view simnet.Deliveries) {
-	d.view = view
-}
-
-// Observe implements Oracle.
-func (d *degraded) Observe(round int, events []trace.Event) *Violation {
-	view := d.view
-	d.view = simnet.Deliveries{}
-	if d.disrupted(round, events) {
+// Observe implements Oracle. A suspended round reaches the inner
+// oracle not at all: neither its events, its accounting nor its
+// deliveries.
+func (d *degraded) Observe(r Round) *Violation {
+	if d.disrupted(r.N, r.Events) {
 		d.suspended++
 		return nil
 	}
-	if do, ok := d.inner.(DeliveryOracle); ok {
-		do.ObserveDeliveries(round-d.suspended, view)
-	}
-	v := d.inner.Observe(round-d.suspended, events)
+	wall := r.N
+	r.N -= d.suspended
+	v := d.inner.Observe(r)
 	if v != nil {
 		// The inner oracle saw the warped clock; the report should
 		// carry the real simulation round.
-		v.Round = round
+		v.Round = wall
 	}
 	return v
 }

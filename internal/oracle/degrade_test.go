@@ -27,13 +27,13 @@ func dropEvent(round int) trace.Event {
 func TestDegradedSuspendsDuringPartition(t *testing.T) {
 	t.Parallel()
 	var seen []int
-	inner := NewFunc("probe", func(round int, _ []trace.Event) *Violation {
-		seen = append(seen, round)
+	inner := NewFunc("probe", func(r Round) *Violation {
+		seen = append(seen, r.N)
 		return nil
 	})
 	d := NewDegraded(inner, 2)
 	feed := func(round int, events ...trace.Event) {
-		if v := d.Observe(round, events); v != nil {
+		if v := d.Observe(Round{N: round, Events: events}); v != nil {
 			t.Fatalf("round %d: unexpected violation %+v", round, v)
 		}
 	}
@@ -79,7 +79,7 @@ func TestDegradedTerminationUnderPartition(t *testing.T) {
 		if round == 4 {
 			pending = nil // the protocol actually finished mid-partition
 		}
-		if v := d.Observe(round, events); v != nil {
+		if v := d.Observe(Round{N: round, Events: events}); v != nil {
 			t.Fatalf("round %d: degraded termination fired spuriously: %+v", round, v)
 		}
 	}
@@ -101,7 +101,7 @@ func TestDegradedStillFiresAfterRecovery(t *testing.T) {
 		if round == 4 {
 			events = append(events, healEvent(round))
 		}
-		fired = d.Observe(round, events)
+		fired = d.Observe(Round{N: round, Events: events})
 	}
 	if fired == nil {
 		t.Fatal("degraded termination never fired on a permanently stuck protocol")
@@ -121,14 +121,14 @@ func TestDegradedStillFiresAfterRecovery(t *testing.T) {
 func TestDegradedLinkActivitySuspends(t *testing.T) {
 	t.Parallel()
 	calls := 0
-	inner := NewFunc("probe", func(int, []trace.Event) *Violation {
+	inner := NewFunc("probe", func(Round) *Violation {
 		calls++
 		return nil
 	})
 	d := NewDegraded(inner, 2)
-	d.Observe(1, []trace.Event{dropEvent(1)})
-	d.Observe(2, nil) // within recovery
-	d.Observe(3, nil) // quiet for 2 rounds: resumes
+	d.Observe(Round{N: 1, Events: []trace.Event{dropEvent(1)}})
+	d.Observe(Round{N: 2}) // within recovery
+	d.Observe(Round{N: 3}) // quiet for 2 rounds: resumes
 	if calls != 1 {
 		t.Fatalf("inner oracle consulted %d times, want 1 (round 3 only)", calls)
 	}

@@ -17,8 +17,8 @@ import (
 // This file tests the delivery-reading oracles against the engine's
 // lazy simnet.Deliveries view: noForgedSender must reach the same
 // verdicts through the view as through a full per-delivery event feed,
-// under live link faults that corrupt and demote copies, and the
-// wrappers between a suite and an oracle must forward the view.
+// under live link faults that corrupt and demote copies, and a wrapper
+// between a suite and an oracle must hand the inner oracle the view.
 
 // rbRun is a reliable-broadcast network: correct nodes (the first is
 // the source) plus two Byzantine echo amplifiers pushing a forged pair
@@ -84,8 +84,8 @@ func corruptPlan(seed int64, rate float64) *simnet.FaultPlan {
 }
 
 // eventFeed attaches two suites to one network: view receives the
-// engine's feed as is (DeliveryObserver, then ObserveRound), while
-// events receives each round's full EventLog record — engine events
+// engine's feed as is (ObserveDeliveries, ObserveRoundStats, then
+// ObserveRound), while events receives each round's full EventLog record — engine events
 // followed by every delivery event — through ObserveRound alone, the
 // per-delivery feed the view replaced.
 type eventFeed struct {
@@ -96,6 +96,10 @@ type eventFeed struct {
 
 func (f *eventFeed) ObserveDeliveries(round int, d simnet.Deliveries) {
 	f.view.ObserveDeliveries(round, d)
+}
+
+func (f *eventFeed) ObserveRoundStats(round int, acct simnet.RoundAccounting) {
+	f.view.ObserveRoundStats(round, acct)
 }
 
 func (f *eventFeed) ObserveRound(round int, events []trace.Event) {
@@ -164,12 +168,18 @@ func TestNoForgedSenderViewGenuineAndForged(t *testing.T) {
 	}
 }
 
-// hideDeliveries wraps an oracle without forwarding the view — the
-// wrapper bug the Suite docs warn about.
+// hideDeliveries wraps an oracle and strips the round's view before
+// the inner oracle sees it — what a suite attached without its
+// ObserveDeliveries forward looks like to the oracle.
 type hideDeliveries struct{ Oracle }
 
+func (h hideDeliveries) Observe(r Round) *Violation {
+	r.Deliveries = simnet.Deliveries{}
+	return h.Oracle.Observe(r)
+}
+
 // TestDegradedForwardsDeliveries: a delivery oracle wrapped in
-// NewDegraded must still see the view. Without the forward the inner
+// NewDegraded must still see the view. Without it the inner
 // noForgedSender learns no genuine pair and flags the first genuine
 // acceptance, which the hideDeliveries control demonstrates.
 func TestDegradedForwardsDeliveries(t *testing.T) {

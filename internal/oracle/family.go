@@ -11,7 +11,6 @@ import (
 	"uba/internal/core/renaming"
 	"uba/internal/core/rotor"
 	"uba/internal/ids"
-	"uba/internal/trace"
 	"uba/internal/wire"
 )
 
@@ -62,19 +61,19 @@ func ForBroadcast(nodes []*relbcast.Node, correct *ids.Set) []Oracle {
 		}
 		return out
 	}
-	totality := func(round int, _ []trace.Event) *Violation {
+	totality := func(r Round) *Violation {
 		for _, n := range nodes {
 			for _, acc := range n.Accepted() {
-				if acc.Round+1 > round {
+				if acc.Round+1 > r.N {
 					continue // grace round still open
 				}
 				for _, other := range nodes {
 					if _, ok := other.HasAccepted(acc.Source, acc.Body); !ok {
 						return &Violation{
 							Oracle: "broadcast-totality",
-							Round:  round,
+							Round:  r.N,
 							Detail: fmt.Sprintf("node %d accepted (%q, %d) in round %d but node %d has not by round %d",
-								n.ID(), acc.Body, acc.Source, acc.Round, other.ID(), round),
+								n.ID(), acc.Body, acc.Source, acc.Round, other.ID(), r.N),
 						}
 					}
 				}
@@ -119,7 +118,7 @@ func ForRotor(nodes []*rotor.Node, bound int) []Oracle {
 // terminated nodes within eps of each other, outputs inside the correct
 // input range [lo, hi], and termination within `bound` rounds.
 func ForApprox(nodes []*approx.Node, eps, lo, hi float64, bound int) []Oracle {
-	band := func(round int, _ []trace.Event) *Violation {
+	band := func(r Round) *Violation {
 		haveFirst := false
 		var min, max float64
 		var minNode, maxNode ids.ID
@@ -139,20 +138,20 @@ func ForApprox(nodes []*approx.Node, eps, lo, hi float64, bound int) []Oracle {
 		if haveFirst && max-min > eps {
 			return &Violation{
 				Oracle: "approx-agreement",
-				Round:  round,
+				Round:  r.N,
 				Detail: fmt.Sprintf("outputs %g (node %d) and %g (node %d) differ by more than eps=%g",
 					min, minNode, max, maxNode, eps),
 			}
 		}
 		return nil
 	}
-	inRange := func(round int, _ []trace.Event) *Violation {
+	inRange := func(r Round) *Violation {
 		for _, n := range nodes {
 			x, ok := n.Output()
 			if ok && (x < lo || x > hi) {
 				return &Violation{
 					Oracle: "approx-validity",
-					Round:  round,
+					Round:  r.N,
 					Detail: fmt.Sprintf("node %d output %g outside correct input range [%g, %g]",
 						n.ID(), x, lo, hi),
 				}
@@ -185,7 +184,7 @@ func ForRenaming(nodes []*renaming.Node, bound int) []Oracle {
 		}
 		return out
 	}
-	unique := func(round int, _ []trace.Event) *Violation {
+	unique := func(r Round) *Violation {
 		taken := make(map[int]ids.ID)
 		for _, n := range nodes {
 			name, ok := n.NewName()
@@ -195,7 +194,7 @@ func ForRenaming(nodes []*renaming.Node, bound int) []Oracle {
 			if prev, dup := taken[name]; dup {
 				return &Violation{
 					Oracle: "renaming-uniqueness",
-					Round:  round,
+					Round:  r.N,
 					Detail: fmt.Sprintf("nodes %d and %d both renamed to %d", prev, n.ID(), name),
 				}
 			}

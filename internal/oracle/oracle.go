@@ -2,16 +2,17 @@
 // observers that watch a run round by round and report the first round in
 // which a protocol-level safety or liveness property is violated.
 //
-// An Oracle is fed each round's engine events (via a Suite attached as the
-// network's simnet.RoundObserver) and may additionally probe protocol node
-// state through Prober callbacks supplied by the per-family constructors
-// (ForConsensus, ForBroadcast, ...). The few oracles that read the round's
-// deliveries implement DeliveryOracle and range over the engine's lazy
-// simnet.Deliveries view, so a suite of oracles that never do costs the
-// round nothing per delivery. Catching a violation *online*, in the
-// round it first becomes observable, is what makes the chaos campaign's
-// failure shrinking (internal/chaos) possible: the shrinker re-runs a
-// candidate configuration and asks only "does the same oracle still fire?".
+// An Oracle is fed each completed round as one Round value — its number,
+// engine events, accounting and lazy simnet.Deliveries view, gathered by
+// a Suite attached as the network's simnet.RoundObserver — and may
+// additionally probe protocol node state through Prober callbacks
+// supplied by the per-family constructors (ForConsensus, ForBroadcast,
+// ...). The few oracles that read the round's deliveries range over the
+// view, so a suite of oracles that never do costs the round nothing per
+// delivery. Catching a violation *online*, in the round it first becomes
+// observable, is what makes the chaos campaign's failure shrinking
+// (internal/chaos) possible: the shrinker re-runs a candidate
+// configuration and asks only "does the same oracle still fire?".
 //
 // Oracles must be deterministic: given the same run they must report the
 // same violation in the same round with the same detail string. All
@@ -41,17 +42,32 @@ type Violation struct {
 	Detail string `json:"detail"`
 }
 
+// Round is one completed round as an oracle sees it.
+type Round struct {
+	// N is the round number (warped by NewDegraded for the oracle it
+	// wraps).
+	N int
+	// Events are the round's engine events — fault-plan, containment
+	// and link-fault events; see simnet.Config.Observer — or recorded
+	// transcript events when a test replays one. The slice is reused
+	// by the engine and must not be retained.
+	Events []trace.Event
+	// Acct is the round's traffic ledger; zero when the round reached
+	// the suite without one.
+	Acct simnet.RoundAccounting
+	// Deliveries is the round's lazy delivery view, valid only for the
+	// duration of Observe; the zero view is empty.
+	Deliveries simnet.Deliveries
+}
+
 // Oracle is one online safety monitor. Observe is called once per
-// completed round with the round's engine events (fault-plan,
-// containment and link-fault events; see simnet.Config.Observer).
-// Deliveries reach an oracle only through DeliveryOracle. The events
-// slice is reused by the engine and must not be retained. A non-nil
-// return stops further Observe calls to this oracle.
+// completed round; a non-nil return stops further Observe calls to
+// this oracle.
 type Oracle interface {
 	// Name identifies the monitor in violations and repro files.
 	Name() string
 	// Observe checks one round; nil means no violation yet.
-	Observe(round int, events []trace.Event) *Violation
+	Observe(r Round) *Violation
 }
 
 // Claim is one node's statement about its protocol state, produced by a
@@ -99,7 +115,7 @@ func NewAgreement(name string, probe Prober) Oracle {
 func (a *agreement) Name() string { return a.name }
 
 // Observe implements Oracle.
-func (a *agreement) Observe(round int, _ []trace.Event) *Violation {
+func (a *agreement) Observe(r Round) *Violation {
 	claims := a.probe()
 	first := make(map[string]Claim, len(claims))
 	for _, c := range claims {
@@ -111,7 +127,7 @@ func (a *agreement) Observe(round int, _ []trace.Event) *Violation {
 		if prev.Value != c.Value {
 			return &Violation{
 				Oracle: a.name,
-				Round:  round,
+				Round:  r.N,
 				Detail: fmt.Sprintf("nodes %d and %d disagree on %q: %q vs %q",
 					prev.Node, c.Node, c.Key, prev.Value, c.Value),
 			}
@@ -137,12 +153,12 @@ func NewValidity(name string, probe Prober, valid func(Claim) bool) Oracle {
 func (v *validity) Name() string { return v.name }
 
 // Observe implements Oracle.
-func (v *validity) Observe(round int, _ []trace.Event) *Violation {
+func (v *validity) Observe(r Round) *Violation {
 	for _, c := range v.probe() {
 		if !v.valid(c) {
 			return &Violation{
 				Oracle: v.name,
-				Round:  round,
+				Round:  r.N,
 				Detail: fmt.Sprintf("node %d claims invalid %q = %q", c.Node, c.Key, c.Value),
 			}
 		}
@@ -168,14 +184,14 @@ func NewTerminationBound(name string, bound int, pending func() []ids.ID) Oracle
 func (t *terminationBound) Name() string { return t.name }
 
 // Observe implements Oracle.
-func (t *terminationBound) Observe(round int, _ []trace.Event) *Violation {
-	if round < t.bound {
+func (t *terminationBound) Observe(r Round) *Violation {
+	if r.N < t.bound {
 		return nil
 	}
 	if p := t.pending(); len(p) > 0 {
 		return &Violation{
 			Oracle: t.name,
-			Round:  round,
+			Round:  r.N,
 			Detail: fmt.Sprintf("%d nodes undecided at round bound %d (first: %d)",
 				len(p), t.bound, p[0]),
 		}
@@ -186,13 +202,13 @@ func (t *terminationBound) Observe(round int, _ []trace.Event) *Violation {
 // funcOracle adapts a bare function to the Oracle interface.
 type funcOracle struct {
 	name string
-	fn   func(round int, events []trace.Event) *Violation
+	fn   func(Round) *Violation
 }
 
 // NewFunc wraps a function as an Oracle, for family-specific checks that
 // do not fit the keyed-claim monitors (approximate agreement's epsilon
 // band, renaming's name uniqueness, ...).
-func NewFunc(name string, fn func(round int, events []trace.Event) *Violation) Oracle {
+func NewFunc(name string, fn func(Round) *Violation) Oracle {
 	return &funcOracle{name: name, fn: fn}
 }
 
@@ -200,19 +216,8 @@ func NewFunc(name string, fn func(round int, events []trace.Event) *Violation) O
 func (f *funcOracle) Name() string { return f.name }
 
 // Observe implements Oracle.
-func (f *funcOracle) Observe(round int, events []trace.Event) *Violation {
-	return f.fn(round, events)
-}
-
-// DeliveryOracle is the optional extension of Oracle for monitors that
-// read the round's deliveries. ObserveDeliveries runs just before
-// Observe for the same round; a violation it finds is returned by that
-// Observe call, so violations keep the suite's oracle order within a
-// round. The view is valid only for the duration of the call.
-type DeliveryOracle interface {
-	Oracle
-	// ObserveDeliveries reads one round's deliveries.
-	ObserveDeliveries(round int, d simnet.Deliveries)
+func (f *funcOracle) Observe(r Round) *Violation {
+	return f.fn(r)
 }
 
 // RBAcceptance is one reliable-broadcast acceptance probed from node
@@ -236,12 +241,7 @@ type noForgedSender struct {
 	// claimed source (delivery events where the engine-stamped sender
 	// equals the payload's Source field).
 	genuine map[string]struct{}
-	// pending is a violation ObserveDeliveries found, reported by the
-	// Observe call of the same round.
-	pending *Violation
 }
-
-var _ DeliveryOracle = (*noForgedSender)(nil)
 
 // NewNoForgedSender returns the unforgeability monitor for reliable
 // broadcast: no node may accept (m, s) for a *correct* source s unless s
@@ -249,8 +249,8 @@ var _ DeliveryOracle = (*noForgedSender)(nil)
 // deliveries (the engine stamps true senders, so an rbmessage whose
 // stamped sender equals its claimed source is genuine) — every delivered
 // copy, corrupted and fault-demoted ones included — read through the
-// simnet.Deliveries view, or from delivery events handed to Observe
-// directly (replaying a recorded transcript). Acceptances are probed
+// round's simnet.Deliveries view, or from delivery events in its
+// Events (replaying a recorded transcript). Acceptances are probed
 // from node state. It also flags a correct node transmitting an
 // rbmessage with a foreign source — something no correct implementation
 // does.
@@ -269,17 +269,6 @@ func (o *noForgedSender) Name() string { return o.name }
 // pairKey keys a (source, body) pair.
 func pairKey(source ids.ID, body []byte) string {
 	return fmt.Sprintf("%d|%x", source, body)
-}
-
-// ObserveDeliveries implements DeliveryOracle: it learns the round's
-// genuine broadcasts, stopping at the first foreign-source rbmessage
-// from a correct node (reported by the following Observe).
-func (o *noForgedSender) ObserveDeliveries(round int, d simnet.Deliveries) {
-	for e := range d.All() {
-		if o.pending = o.delivered(round, &e); o.pending != nil {
-			return
-		}
-	}
 }
 
 // delivered folds one delivery event into the genuine set, or returns
@@ -312,14 +301,18 @@ func (o *noForgedSender) delivered(round int, e *trace.Event) *Violation {
 	return nil
 }
 
-// Observe implements Oracle.
-func (o *noForgedSender) Observe(round int, events []trace.Event) *Violation {
-	if v := o.pending; v != nil {
-		o.pending = nil
-		return v
+// Observe implements Oracle: it learns the round's genuine broadcasts
+// from the Deliveries view, then from the Events, stopping at the
+// first foreign-source rbmessage from a correct node, and then checks
+// the probed acceptances.
+func (o *noForgedSender) Observe(r Round) *Violation {
+	for e := range r.Deliveries.All() {
+		if v := o.delivered(r.N, &e); v != nil {
+			return v
+		}
 	}
-	for i := range events {
-		if v := o.delivered(round, &events[i]); v != nil {
+	for i := range r.Events {
+		if v := o.delivered(r.N, &r.Events[i]); v != nil {
 			return v
 		}
 	}
@@ -330,7 +323,7 @@ func (o *noForgedSender) Observe(round int, events []trace.Event) *Violation {
 		if _, ok := o.genuine[pairKey(acc.Source, acc.Body)]; !ok {
 			return &Violation{
 				Oracle: o.name,
-				Round:  round,
+				Round:  r.N,
 				Detail: fmt.Sprintf("node %d accepted forged (%q, %d): correct source never sent it",
 					acc.Node, acc.Body, acc.Source),
 			}
@@ -340,18 +333,23 @@ func (o *noForgedSender) Observe(round int, events []trace.Event) *Violation {
 }
 
 // Suite runs a set of oracles over a simulation, one Observe sweep per
-// round. It implements simnet.RoundObserver, so it attaches directly as
-// Config.Observer, and simnet.DeliveryObserver, forwarding the round's
-// Deliveries view to its DeliveryOracles. A wrapper that attaches a
-// suite indirectly must forward ObserveDeliveries too: without it the
-// delivery oracles see no traffic (NewNoForgedSender would then flag
-// every genuine acceptance). Each oracle reports at most one violation
-// (its first); the suite keeps observing the remaining oracles after
-// one fires.
+// round in suite order. It implements simnet.RoundObserver, so it
+// attaches directly as Config.Observer, and simnet.DeliveryObserver:
+// ObserveDeliveries and ObserveRoundStats gather the round's view and
+// accounting, and ObserveRound, which closes the round, hands every
+// not-yet-fired oracle the whole Round. A wrapper that attaches a suite
+// indirectly must forward ObserveDeliveries too: without it the
+// oracles see no deliveries (NewNoForgedSender would then flag every
+// genuine acceptance). Each oracle reports at most one violation (its
+// first); the suite keeps observing the remaining oracles after one
+// fires.
 type Suite struct {
 	oracles    []Oracle
 	fired      []bool
 	violations []Violation
+	// round gathers the current round's pieces until ObserveRound
+	// sweeps and clears it.
+	round Round
 }
 
 var (
@@ -370,58 +368,25 @@ func (s *Suite) Add(o Oracle) {
 	s.fired = append(s.fired, false)
 }
 
-// ObserveDeliveries implements simnet.DeliveryObserver: every
-// not-yet-fired DeliveryOracle reads the round's view, just before the
-// ObserveRound sweep that reports what it found.
-func (s *Suite) ObserveDeliveries(round int, d simnet.Deliveries) {
-	for i, o := range s.oracles {
-		if s.fired[i] {
-			continue
-		}
-		if do, ok := o.(DeliveryOracle); ok {
-			do.ObserveDeliveries(round, d)
-		}
-	}
-}
+// ObserveDeliveries implements simnet.DeliveryObserver: it holds the
+// round's view for the ObserveRound sweep.
+func (s *Suite) ObserveDeliveries(_ int, d simnet.Deliveries) { s.round.Deliveries = d }
 
-// ObserveRound implements simnet.RoundObserver.
+// ObserveRoundStats implements simnet.RoundObserver: it holds the
+// round's accounting for the ObserveRound sweep.
+func (s *Suite) ObserveRoundStats(_ int, acct simnet.RoundAccounting) { s.round.Acct = acct }
+
+// ObserveRound implements simnet.RoundObserver: every not-yet-fired
+// oracle checks the gathered round, in suite order.
 func (s *Suite) ObserveRound(round int, events []trace.Event) {
+	r := s.round
+	s.round = Round{}
+	r.N, r.Events = round, events
 	for i, o := range s.oracles {
 		if s.fired[i] {
 			continue
 		}
-		if v := o.Observe(round, events); v != nil {
-			s.fired[i] = true
-			s.violations = append(s.violations, *v)
-		}
-	}
-}
-
-// StatsOracle is the optional extension of Oracle for monitors that
-// consume the engine's per-round accounting (broadcast/unicast tallies)
-// rather than trace events — the runtime complexity oracle implements
-// it.
-type StatsOracle interface {
-	Oracle
-	// ObserveStats checks one round's ledger; nil means no violation.
-	ObserveStats(round int, acct simnet.RoundAccounting) *Violation
-}
-
-var _ simnet.RoundStatsObserver = (*Suite)(nil)
-
-// ObserveRoundStats implements simnet.RoundStatsObserver: every
-// not-yet-fired StatsOracle in the suite sees each successful round's
-// accounting, right after the event sweep.
-func (s *Suite) ObserveRoundStats(round int, acct simnet.RoundAccounting) {
-	for i, o := range s.oracles {
-		if s.fired[i] {
-			continue
-		}
-		so, ok := o.(StatsOracle)
-		if !ok {
-			continue
-		}
-		if v := so.ObserveStats(round, acct); v != nil {
+		if v := o.Observe(r); v != nil {
 			s.fired[i] = true
 			s.violations = append(s.violations, *v)
 		}

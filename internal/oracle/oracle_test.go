@@ -21,11 +21,11 @@ func TestAgreementOracle(t *testing.T) {
 		{Node: 3, Key: "other", Value: "b"},
 	}
 	o := NewAgreement("agree", func() []Claim { return claims })
-	if v := o.Observe(1, nil); v != nil {
+	if v := o.Observe(Round{N: 1}); v != nil {
 		t.Fatalf("agreeing claims fired: %+v", v)
 	}
 	claims = append(claims, Claim{Node: 4, Key: "decision", Value: "z"})
-	v := o.Observe(2, nil)
+	v := o.Observe(Round{N: 2})
 	if v == nil {
 		t.Fatal("disagreement not detected")
 	}
@@ -42,11 +42,11 @@ func TestValidityOracle(t *testing.T) {
 	claims := []Claim{{Node: 7, Key: "decision", Value: "good"}}
 	o := NewValidity("valid", func() []Claim { return claims },
 		func(c Claim) bool { return c.Value == "good" })
-	if v := o.Observe(1, nil); v != nil {
+	if v := o.Observe(Round{N: 1}); v != nil {
 		t.Fatalf("valid claim fired: %+v", v)
 	}
 	claims[0].Value = "evil"
-	if v := o.Observe(2, nil); v == nil || v.Round != 2 {
+	if v := o.Observe(Round{N: 2}); v == nil || v.Round != 2 {
 		t.Fatalf("invalid claim not detected: %+v", v)
 	}
 }
@@ -55,14 +55,14 @@ func TestTerminationBoundOracle(t *testing.T) {
 	t.Parallel()
 	pending := []ids.ID{4, 9}
 	o := NewTerminationBound("term", 10, func() []ids.ID { return pending })
-	if v := o.Observe(9, nil); v != nil {
+	if v := o.Observe(Round{N: 9}); v != nil {
 		t.Fatalf("fired before the bound: %+v", v)
 	}
-	if v := o.Observe(10, nil); v == nil {
+	if v := o.Observe(Round{N: 10}); v == nil {
 		t.Fatal("pending nodes at the bound not detected")
 	}
 	pending = nil
-	if v := o.Observe(11, nil); v != nil {
+	if v := o.Observe(Round{N: 11}); v != nil {
 		t.Fatalf("fired with nothing pending: %+v", v)
 	}
 }
@@ -87,19 +87,19 @@ func TestNoForgedSenderOracle(t *testing.T) {
 	// Round 1: node 10 genuinely broadcasts (m, 10); node 20 accepts it.
 	events := []trace.Event{rbEvent(1, 10, wire.RBMessage{Source: 10, Body: []byte("m")})}
 	accepted = []RBAcceptance{{Node: 20, Source: 10, Body: []byte("m")}}
-	if v := o.Observe(1, events); v != nil {
+	if v := o.Observe(Round{N: 1, Events: events}); v != nil {
 		t.Fatalf("genuine acceptance fired: %+v", v)
 	}
 
 	// Byzantine-source acceptances are never violations.
 	accepted = append(accepted, RBAcceptance{Node: 20, Source: 99, Body: []byte("x")})
-	if v := o.Observe(2, nil); v != nil {
+	if v := o.Observe(Round{N: 2}); v != nil {
 		t.Fatalf("byzantine-source acceptance fired: %+v", v)
 	}
 
 	// Accepting a pair the correct source never sent is a violation.
 	accepted = append(accepted, RBAcceptance{Node: 30, Source: 10, Body: []byte("forged")})
-	v := o.Observe(3, nil)
+	v := o.Observe(Round{N: 3})
 	if v == nil || !strings.Contains(v.Detail, "forged") {
 		t.Fatalf("forged acceptance not detected: %+v", v)
 	}
@@ -107,7 +107,7 @@ func TestNoForgedSenderOracle(t *testing.T) {
 	// A correct node transmitting a foreign-source rbmessage is flagged.
 	o2 := NewNoForgedSender("forge", correct, func() []RBAcceptance { return nil })
 	bad := []trace.Event{rbEvent(1, 20, wire.RBMessage{Source: 10, Body: []byte("m")})}
-	if v := o2.Observe(1, bad); v == nil {
+	if v := o2.Observe(Round{N: 1, Events: bad}); v == nil {
 		t.Fatal("correct node relaying a foreign source not detected")
 	}
 }
@@ -115,11 +115,11 @@ func TestNoForgedSenderOracle(t *testing.T) {
 func TestSuiteRecordsFirstViolationPerOracle(t *testing.T) {
 	t.Parallel()
 	fires := 0
-	always := NewFunc("always", func(round int, _ []trace.Event) *Violation {
+	always := NewFunc("always", func(r Round) *Violation {
 		fires++
-		return &Violation{Oracle: "always", Round: round, Detail: "boom"}
+		return &Violation{Oracle: "always", Round: r.N, Detail: "boom"}
 	})
-	quiet := NewFunc("quiet", func(int, []trace.Event) *Violation { return nil })
+	quiet := NewFunc("quiet", func(Round) *Violation { return nil })
 	s := NewSuite(always, quiet)
 	for r := 1; r <= 5; r++ {
 		s.ObserveRound(r, nil)

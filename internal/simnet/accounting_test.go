@@ -6,8 +6,8 @@ import (
 	"uba/internal/trace"
 )
 
-// statsRecorder captures every RoundAccounting the engine hands to a
-// RoundStatsObserver.
+// statsRecorder captures every RoundAccounting the engine hands to
+// ObserveRoundStats; it ignores the engine events.
 type statsRecorder struct {
 	rounds []int
 	accts  []RoundAccounting

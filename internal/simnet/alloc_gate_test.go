@@ -8,10 +8,10 @@ import (
 	"uba/internal/trace"
 )
 
-// countingObserver is the observer=stats gate's observer: it implements
-// every round-boundary interface and only counts the calls — it never
-// ranges over the Deliveries view, which is exactly the consumer the
-// lazy view makes free.
+// countingObserver is the observer=stats gate's observer: a
+// RoundObserver that also implements DeliveryObserver and only counts
+// the calls — it never ranges over the Deliveries view, which is
+// exactly the consumer the lazy view makes free.
 type countingObserver struct {
 	rounds, stats, views int
 }
@@ -34,9 +34,9 @@ func (o *countingObserver) ObserveDeliveries(int, Deliveries)      { o.views++ }
 // FaultPlan may never cost a healthy round an allocation.
 //
 // The observer=stats variants attach an observer implementing
-// RoundObserver, RoundStatsObserver and DeliveryObserver that never
-// ranges over the view, and run the full round-boundary dispatch
-// (publishRound) every measured round: an attached observer must not
+// RoundObserver and DeliveryObserver that never ranges over the view,
+// and run the full round-boundary dispatch (publishRound) every
+// measured round: an attached observer must not
 // make the engine build a single delivery event. Steady-state zero
 // allocations alone cannot show that — recycled per-round event
 // buffers would be allocation-free too once grown — so these variants

@@ -62,29 +62,41 @@ func (f *flood) Step(env *RoundEnv) {
 
 // roundRecorder captures the observer feed: per round, the engine
 // events ObserveRound received followed by the expanded Deliveries view
-// ObserveDeliveries received just before it. It keeps the last view so
+// ObserveDeliveries received before it, plus the log of every
+// round-boundary call in arrival order. It keeps the last view so
 // tests can probe it after its window closed.
 type roundRecorder struct {
-	rounds     []int
 	feeds      [][]trace.Event
 	deliveries []trace.Event
-	viewRound  int
+	calls      []string
 	last       Deliveries
 }
 
 func (r *roundRecorder) ObserveDeliveries(round int, d Deliveries) {
-	r.viewRound = round
+	r.calls = append(r.calls, fmt.Sprintf("deliveries@%d", round))
 	r.last = d
 	r.deliveries = slices.Collect(d.All())
 }
 
+func (r *roundRecorder) ObserveRoundStats(round int, _ RoundAccounting) {
+	r.calls = append(r.calls, fmt.Sprintf("stats@%d", round))
+}
+
 func (r *roundRecorder) ObserveRound(round int, events []trace.Event) {
-	if r.viewRound != round {
-		panic(fmt.Sprintf("ObserveRound(%d) without a preceding ObserveDeliveries (last view: round %d)", round, r.viewRound))
-	}
-	r.rounds = append(r.rounds, round)
+	r.calls = append(r.calls, fmt.Sprintf("round@%d", round))
 	feed := append(slices.Clone(events), r.deliveries...)
 	r.feeds = append(r.feeds, feed)
+}
+
+// boundaryCalls is the call log the round-boundary protocol produces
+// for successful rounds 1..rounds: per round exactly one
+// ObserveDeliveries, ObserveRoundStats, ObserveRound, in that order.
+func boundaryCalls(rounds int) []string {
+	var calls []string
+	for r := 1; r <= rounds; r++ {
+		calls = append(calls, fmt.Sprintf("deliveries@%d", r), fmt.Sprintf("stats@%d", r), fmt.Sprintf("round@%d", r))
+	}
+	return calls
 }
 
 func TestPanicContainedAsCrashFault(t *testing.T) {
@@ -232,7 +244,9 @@ func TestByteQuotaPrefixPolicy(t *testing.T) {
 }
 
 // TestObserverFeedMatchesEventLog pins the round-boundary contract:
-// per round, the engine events handed to ObserveRound followed by the
+// per round, the observer gets exactly one ObserveDeliveries,
+// ObserveRoundStats and ObserveRound call, in that order and for that
+// round, and the engine events handed to ObserveRound followed by the
 // Deliveries view's expansion are exactly the EventLog's record of that
 // round — same events, same order — at worker caps 1 (inline) and 3
 // (sharded delivery), with and without a fault plan whose link
@@ -279,8 +293,8 @@ func TestObserverFeedMatchesEventLog(t *testing.T) {
 					logged := log.Events()
 					want := logged[seen:]
 					seen = len(logged)
-					if len(rec.feeds) != r || rec.rounds[r-1] != r {
-						t.Fatalf("after round %d the observer saw rounds %v", r, rec.rounds)
+					if want := boundaryCalls(r); !slices.Equal(rec.calls, want) {
+						t.Fatalf("after round %d the observer calls were %v, want %v", r, rec.calls, want)
 					}
 					got := rec.feeds[r-1]
 					if !slices.Equal(got, want) {
@@ -348,5 +362,46 @@ func TestZeroDeliveriesIsEmpty(t *testing.T) {
 	t.Parallel()
 	for e := range (Deliveries{}).All() {
 		t.Fatalf("zero view yielded %+v", e)
+	}
+}
+
+// TestAbortedRoundNotObserved: a round that fails (here an
+// EnforceContactRule violation in round 2) reaches no observer method
+// at all — the observer's log ends with the last successful round — at
+// worker caps 1 and 3, with and without a live link-fault plan.
+func TestAbortedRoundNotObserved(t *testing.T) {
+	t.Parallel()
+	links := &FaultPlan{Seed: 5, Events: []FaultEvent{
+		{Round: 1, Kind: FaultDuplicate, Rate: 0.5},
+		{Round: 1, Kind: FaultReorder, Rate: 0.5},
+	}}
+	for _, plan := range []*FaultPlan{nil, links} {
+		for _, workers := range []int{1, 3} {
+			label := "plan=nil"
+			if plan != nil {
+				label = "plan=links"
+			}
+			t.Run(fmt.Sprintf("%s/workers=%d", label, workers), func(t *testing.T) {
+				t.Parallel()
+				rec := &roundRecorder{}
+				net := New(Config{Workers: workers, EnforceContactRule: true, Observer: rec, FaultPlan: plan})
+				a := newRecorder(1, func(env *RoundEnv) { env.Broadcast(body("a")) },
+					func(env *RoundEnv) { env.Send(3, body("never heard from 3")) })
+				for _, p := range []Process{a, newRecorder(2), newRecorder(3)} {
+					if err := net.Add(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := net.RunRound(); err != nil {
+					t.Fatal(err)
+				}
+				if err := net.RunRound(); !errors.Is(err, ErrContactRule) {
+					t.Fatalf("round 2 err = %v, want ErrContactRule", err)
+				}
+				if want := boundaryCalls(1); !slices.Equal(rec.calls, want) {
+					t.Fatalf("observer calls = %v, want %v", rec.calls, want)
+				}
+			})
+		}
 	}
 }

@@ -32,11 +32,12 @@ type Deliveries struct {
 // view after its window closed (see Deliveries).
 var ErrStaleDeliveries = errors.New("simnet: Deliveries used after the next RunRound, Add, Remove or Close")
 
-// DeliveryObserver is the optional extension of RoundObserver for
+// DeliveryObserver is the one optional extension of RoundObserver, for
 // consumers that read a round's deliveries: an observer that also
-// implements it receives each successful round's Deliveries view just
-// before ObserveRound. The view is expanded only if the observer ranges
-// over it, so implementing the interface and not iterating is free.
+// implements it receives each successful round's Deliveries view
+// first, before ObserveRoundStats and ObserveRound. The view is
+// expanded only if the observer ranges over it, so implementing the
+// interface and not iterating is free.
 type DeliveryObserver interface {
 	ObserveDeliveries(round int, d Deliveries)
 }
@@ -124,9 +125,10 @@ func (n *Network) engineEvents() []trace.Event {
 // publishRound hands a successfully routed round to its consumers:
 // the EventLog records the engine events followed by the deliveries,
 // and the observer receives the Deliveries view (DeliveryObserver),
-// the engine events (ObserveRound) and the accounting
-// (RoundStatsObserver), in that order. The transcript and the observer
-// feed are therefore the same record: engine events, then Deliveries.All.
+// the accounting (ObserveRoundStats) and the engine events
+// (ObserveRound), in that order, so ObserveRound closes the round. The
+// transcript and the observer feed are therefore the same record:
+// engine events, then Deliveries.All.
 //
 //lint:noalloc the observer dispatch runs every observed round; the view is two words and the engine events are recycled scratch
 func (n *Network) publishRound(acct RoundAccounting) {
@@ -145,8 +147,6 @@ func (n *Network) publishRound(acct RoundAccounting) {
 	if do, ok := obs.(DeliveryObserver); ok {
 		do.ObserveDeliveries(n.round, Deliveries{n: n, epoch: n.epoch})
 	}
+	obs.ObserveRoundStats(n.round, acct)
 	obs.ObserveRound(n.round, ev)
-	if so, ok := obs.(RoundStatsObserver); ok {
-		so.ObserveRoundStats(n.round, acct)
-	}
 }

@@ -37,10 +37,10 @@
 //     queue prefix within budget survives) and recorded as a
 //     trace.KindQuotaDrop event — the valve that contains Byzantine
 //     amplification floods.
-//   - Config.Observer receives each round's engine events at the round
-//     boundary, and a DeliveryObserver a lazy Deliveries view of the
-//     round's traffic — the feed for the online safety oracles in
-//     internal/oracle.
+//   - Config.Observer receives each round at its boundary — its
+//     accounting, then its engine events — and a DeliveryObserver also
+//     a lazy Deliveries view of the round's traffic: the feed for the
+//     online safety oracles in internal/oracle.
 //
 // One round pipeline executes the process state machines. It shards
 // both halves of a round — the step phase over nodes and the

@@ -60,16 +60,17 @@ type Config struct {
 	// start of the round they occurred in, before that round's
 	// deliveries.
 	EventLog *trace.EventLog
-	// Observer, when non-nil, is called at each completed round's
-	// boundary — the feed for online safety oracles (internal/oracle).
-	// ObserveRound's events carry the round's engine events only:
-	// fault-plan events (plan order), containment events (node order),
-	// then link-fault events (send order). Deliveries are not built for
-	// it: an observer that reads them implements DeliveryObserver and
-	// ranges over the Deliveries view, which yields them in the
-	// EventLog's order, so engine events followed by Deliveries.All are
-	// exactly the round's transcript. The events slice is reused across
-	// rounds; observers must not retain it.
+	// Observer, when non-nil, receives each completed round at its
+	// boundary — the feed for online safety oracles (internal/oracle):
+	// its RoundAccounting, then its engine events, which close the
+	// round. The events are fault-plan events (plan order), containment
+	// events (node order), then link-fault events (send order).
+	// Deliveries are not built for it: an observer that reads them
+	// implements DeliveryObserver and ranges over the Deliveries view,
+	// which yields them in the EventLog's order, so engine events
+	// followed by Deliveries.All are exactly the round's transcript. The
+	// events slice is reused across rounds; observers must not retain
+	// it.
 	Observer RoundObserver
 	// SendQuota, when positive, bounds the send operations one node may
 	// queue in one round. Excess sends are dropped deterministically
@@ -92,15 +93,17 @@ type Config struct {
 	FaultPlan *FaultPlan
 }
 
-// RoundObserver receives each completed round's engine events — the
-// attachment point for online safety monitors. ObserveRound is called
-// once per successful round, from the goroutine driving the network,
-// after the round's phase barriers — whatever the worker cap, it never
-// runs concurrently with a Step. The events are the round's
-// fault-plan, containment and link-fault events (see Config.Observer);
-// deliveries reach an observer only through DeliveryObserver. The
-// events slice is valid only for the duration of the call.
+// RoundObserver receives each completed round — the attachment point
+// for online safety monitors. Per successful round it gets exactly one
+// ObserveRoundStats call, then one ObserveRound call for the same
+// round (after ObserveDeliveries, for a DeliveryObserver); ObserveRound
+// closes the round. Both run on the goroutine driving the network,
+// after the round's phase barriers — whatever the worker cap, never
+// concurrently with a Step. An aborted round gets no calls. The events
+// are the round's fault-plan, containment and link-fault events (see
+// Config.Observer), valid only for the duration of the call.
 type RoundObserver interface {
+	ObserveRoundStats(round int, acct RoundAccounting)
 	ObserveRound(round int, events []trace.Event)
 }
 
@@ -127,14 +130,6 @@ type RoundAccounting struct {
 	// contracts only bound correct processes.
 	CorrectMaxBroadcasts int
 	CorrectMaxUnicasts   int
-}
-
-// RoundStatsObserver is the optional extension of RoundObserver: an
-// observer that also implements it receives each successful round's
-// RoundAccounting immediately after ObserveRound. The runtime
-// complexity oracle attaches here.
-type RoundStatsObserver interface {
-	ObserveRoundStats(round int, acct RoundAccounting)
 }
 
 // DefaultMaxRounds is the Run bound used when Config.MaxRounds is zero.
@@ -405,12 +400,8 @@ func (n *Network) RunRound() error {
 		n.err = err
 		return err
 	}
-	var statsObs RoundStatsObserver
-	if n.cfg.Observer != nil {
-		statsObs, _ = n.cfg.Observer.(RoundStatsObserver)
-	}
 	var acct RoundAccounting
-	if n.cfg.Collector != nil || statsObs != nil {
+	if n.cfg.Collector != nil || n.cfg.Observer != nil {
 		// Account before route: the in-place block-local sort below
 		// reorders outs (within sender runs, not across them), and the
 		// tally pass wants the raw stream.

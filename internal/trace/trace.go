@@ -20,9 +20,7 @@ type RoundStats struct {
 	// Sends counts send operations performed by processes (a broadcast
 	// is one send operation): Broadcasts + Unicasts.
 	Sends int64
-	// Broadcasts and Unicasts split Sends by kind. The batch AddRound
-	// path fills them; the incremental RecordSend path leaves them
-	// zero (it cannot know the kind).
+	// Broadcasts and Unicasts split Sends by kind.
 	Broadcasts int64
 	Unicasts   int64
 	// Deliveries counts point-to-point deliveries after fan-out and
@@ -38,8 +36,7 @@ type Report struct {
 	// Rounds is the number of rounds the network executed.
 	Rounds int
 	// Sends, Deliveries and Bytes are totals over all rounds;
-	// Broadcasts and Unicasts split the Sends total (batch path only,
-	// as in RoundStats).
+	// Broadcasts and Unicasts split the Sends total.
 	Sends      int64
 	Broadcasts int64
 	Unicasts   int64
@@ -66,8 +63,8 @@ func (r Report) String() string {
 
 // Collector accumulates a Report. It is safe for concurrent use, so
 // callers may record from many goroutines without extra coordination
-// (the round engine itself batches via AddRound, once per round).
-// The zero value is ready to use.
+// (the round engine records via AddRound, once per round). The zero
+// value is ready to use.
 //
 // The lock is per-Collector, never process-wide, and each simulation
 // owns its own Collector — so a campaign running many simulations over
@@ -79,9 +76,8 @@ type Collector struct {
 	report Report
 }
 
-// AddRound records a complete round's traffic in one batch: one lock
-// acquisition instead of one per message. This is the simulator's hot
-// path — the round engine accumulates broadcast/unicast/delivery/byte
+// AddRound records a complete round's traffic under one lock
+// acquisition. This is the simulator's hot path — the round engine accumulates broadcast/unicast/delivery/byte
 // tallies in round-local counters and flushes them here once per round,
 // only after the round validated and routed (an aborted round
 // contributes nothing).
@@ -103,44 +99,6 @@ func (c *Collector) AddRound(round int, broadcasts, unicasts, deliveries, bytes 
 	c.report.Unicasts += unicasts
 	c.report.Deliveries += deliveries
 	c.report.Bytes += bytes
-}
-
-// BeginRound opens accounting for round (1-based). Use it with
-// RecordSend/RecordDelivery for incremental, per-message accounting;
-// batch-oriented callers use AddRound instead.
-func (c *Collector) BeginRound(round int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.report.Rounds = round
-	c.report.PerRound = append(c.report.PerRound, RoundStats{Round: round})
-}
-
-func (c *Collector) current() *RoundStats {
-	// Callers hold c.mu.
-	if len(c.report.PerRound) == 0 {
-		c.report.PerRound = append(c.report.PerRound, RoundStats{Round: 1})
-		c.report.Rounds = 1
-	}
-	return &c.report.PerRound[len(c.report.PerRound)-1]
-}
-
-// RecordSend notes one send operation.
-func (c *Collector) RecordSend() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.current().Sends++
-	c.report.Sends++
-}
-
-// RecordDelivery notes one delivered message of the given encoded size.
-func (c *Collector) RecordDelivery(bytes int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cur := c.current()
-	cur.Deliveries++
-	cur.Bytes += int64(bytes)
-	c.report.Deliveries++
-	c.report.Bytes += int64(bytes)
 }
 
 // Report returns a copy of the accumulated report.

@@ -122,14 +122,6 @@ type Config struct {
 	EventLog *trace.EventLog
 	// CrashAfterRound is used by AdversaryCrash (default 5).
 	CrashAfterRound int
-	// Observer, when non-nil, is called at each round boundary — the
-	// attachment point for online safety oracles (internal/oracle.Suite
-	// implements it). ObserveRound's events carry the round's engine
-	// events only (containment: crashes and quota drops); an observer
-	// that reads deliveries implements simnet.DeliveryObserver and
-	// ranges over the round's lazy simnet.Deliveries view. See
-	// simnet.Config.Observer.
-	Observer simnet.RoundObserver
 	// SendQuota bounds the messages any one node may queue per round
 	// (0 = unlimited); see simnet.Config.SendQuota.
 	SendQuota int
@@ -178,7 +170,7 @@ type cluster struct {
 
 // newCluster builds the scaffolding for one run of the named protocol
 // family. Families with a certified complexity contract (all nine)
-// get the runtime complexity oracle attached alongside any caller
+// get the runtime complexity oracle attached as the network's
 // observer, so every campaign — sweep cells, soak runs, examples —
 // cross-checks the statically certified per-round send classes against
 // observed traffic.
@@ -194,10 +186,10 @@ func newCluster(cfg Config, family string) (*cluster, error) {
 	all := ids.Sparse(rng, cfg.Correct+nByz)
 	collector := &trace.Collector{}
 	var suite *oracle.Suite
-	obs := cfg.Observer
+	var obs simnet.RoundObserver
 	if co := oracle.NewComplexityFor(family, 0); co != nil {
 		suite = oracle.NewSuite(co)
-		obs = obsMux{user: cfg.Observer, suite: suite}
+		obs = suite
 	}
 	net := simnet.New(simnet.Config{
 		MaxRounds: cfg.MaxRounds,
@@ -217,36 +209,6 @@ func newCluster(cfg Config, family string) (*cluster, error) {
 		byzIDs:     all[cfg.Correct:],
 		dir:        adversary.NewDirectory(all, all[cfg.Correct:]),
 	}, nil
-}
-
-// obsMux fans the engine's observer callbacks out to the caller's
-// observer and the harness's own oracle suite, including the
-// deliveries and round-accounting extensions when either side
-// implements them.
-type obsMux struct {
-	user  simnet.RoundObserver
-	suite *oracle.Suite
-}
-
-func (m obsMux) ObserveDeliveries(round int, d simnet.Deliveries) {
-	if do, ok := m.user.(simnet.DeliveryObserver); ok {
-		do.ObserveDeliveries(round, d)
-	}
-	m.suite.ObserveDeliveries(round, d)
-}
-
-func (m obsMux) ObserveRound(round int, events []trace.Event) {
-	if m.user != nil {
-		m.user.ObserveRound(round, events)
-	}
-	m.suite.ObserveRound(round, events)
-}
-
-func (m obsMux) ObserveRoundStats(round int, acct simnet.RoundAccounting) {
-	if so, ok := m.user.(simnet.RoundStatsObserver); ok {
-		so.ObserveRoundStats(round, acct)
-	}
-	m.suite.ObserveRoundStats(round, acct)
 }
 
 // byzFactory builds one Byzantine process for a coalition slot; correctByz

@@ -482,49 +482,3 @@ func TestFacadeEventLogTranscript(t *testing.T) {
 		}
 	}
 }
-
-// feedObserver is a user observer that reads deliveries: it collects
-// each round's Deliveries view followed by its engine events.
-type feedObserver struct {
-	deliveries []trace.Event
-	feed       []trace.Event
-}
-
-func (o *feedObserver) ObserveDeliveries(_ int, d simnet.Deliveries) {
-	o.deliveries = o.deliveries[:0]
-	for e := range d.All() {
-		o.deliveries = append(o.deliveries, e)
-	}
-}
-
-func (o *feedObserver) ObserveRound(_ int, events []trace.Event) {
-	o.feed = append(o.feed, events...)
-	o.feed = append(o.feed, o.deliveries...)
-}
-
-// TestFacadeForwardsDeliveriesToUserObserver: the facade multiplexes
-// its complexity oracle with the caller's observer, and a caller's
-// DeliveryObserver must still receive every round's view — the run's
-// engine events plus deliveries reproduce the EventLog transcript and
-// the report's delivery total.
-func TestFacadeForwardsDeliveriesToUserObserver(t *testing.T) {
-	t.Parallel()
-	log := trace.NewEventLog(100_000)
-	obs := &feedObserver{}
-	res, err := Consensus(Config{
-		Correct: 5, Byzantine: 2, Adversary: AdversarySplit, Seed: 4, EventLog: log, Observer: obs,
-	}, []float64{0, 1, 0, 1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := log.Events()
-	if len(obs.feed) != len(want) || int64(len(want)) != res.Report.Deliveries {
-		t.Fatalf("observer fed %d events, transcript has %d, report counts %d deliveries",
-			len(obs.feed), len(want), res.Report.Deliveries)
-	}
-	for i := range want {
-		if obs.feed[i] != want[i] {
-			t.Fatalf("event %d: observer %+v, transcript %+v", i, obs.feed[i], want[i])
-		}
-	}
-}
