@@ -129,21 +129,48 @@ func BenchmarkApproxRun(b *testing.B) {
 	}
 }
 
+// BenchmarkOrderingRound times ordering rounds at a fixed history: each
+// sub-benchmark warms a cluster up for `history` rounds, times the next
+// block of history/4 rounds, and rebuilds and re-warms the cluster, with
+// the timer stopped, before timing another block. ns/op is therefore the
+// cost of one round at that history, whatever b.N is; a round whose cost
+// grows with the run shows as ns/op rising across the sub-benchmarks.
 func BenchmarkOrderingRound(b *testing.B) {
-	oc, err := uba.NewOrderingCluster(uba.Config{Correct: 6, Byzantine: 1, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	members := oc.Members()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := oc.SubmitEvent(members[i%len(members)], float64(i)); err != nil {
-			b.Fatal(err)
-		}
-		if err := oc.RunRounds(1); err != nil {
-			b.Fatal(err)
-		}
+	for _, history := range []int{100, 1000, 4000} {
+		b.Run(fmt.Sprintf("history=%d", history), func(b *testing.B) {
+			var (
+				oc      *uba.OrderingCluster
+				members []uint64
+				round   int
+			)
+			step := func() {
+				if err := oc.SubmitEvent(members[round%len(members)], float64(round)); err != nil {
+					b.Fatal(err)
+				}
+				if err := oc.RunRounds(1); err != nil {
+					b.Fatal(err)
+				}
+				round++
+			}
+			block := history / 4
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%block == 0 {
+					b.StopTimer()
+					var err error
+					if oc, err = uba.NewOrderingCluster(uba.Config{Correct: 6, Byzantine: 1, Seed: 1}); err != nil {
+						b.Fatal(err)
+					}
+					members, round = oc.Members(), 0
+					for round < history {
+						step()
+					}
+					b.StartTimer()
+				}
+				step()
+			}
+		})
 	}
 }
 

@@ -14,6 +14,15 @@
 // another) and chain-growth (events keep being appended while correct
 // nodes submit).
 //
+// Finality never reverts, and both inputs of the rule — the node's round
+// and an execution's termination — change only inside Step. So Step ends
+// by releasing every final execution at the front of the in-flight list:
+// its outputs are appended to the node's chain and its parallel-consensus
+// state is dropped. A node therefore holds at most the executions of the
+// last finality horizon (plus any still running), and the cost of a round
+// does not grow with the length of the run. The chain itself is
+// append-only: an entry, once returned by Chain, never changes.
+//
 // Membership machinery: a joiner broadcasts "present"; every member
 // replies (ack, r) carrying its current round; the joiner adopts the
 // majority round and the ack senders as its initial S. A join announced in
@@ -35,6 +44,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"uba/internal/core/parallelcon"
@@ -66,7 +76,7 @@ func instanceTag(round uint64, submitter ids.ID) uint64 {
 	return round<<48 | uint64(submitter)
 }
 
-// run is one in-flight parallel-consensus execution.
+// run is one parallel-consensus execution that is not yet final.
 type run struct {
 	round   uint64
 	node    *parallelcon.Node
@@ -90,7 +100,12 @@ type Node struct {
 	firstRun   uint64            // first execution this node participates in
 
 	pendingEvents []float64
-	runs          map[uint64]*run
+	// runs holds the executions that are not yet final, in round order.
+	runs []*run
+	// chain is the outputs of the final executions [firstRun,
+	// finalThrough]; finalThrough is 0 while none is final.
+	chain        []ChainEntry
+	finalThrough uint64
 }
 
 var _ simnet.Process = (*Node)(nil)
@@ -112,7 +127,6 @@ func NewFounder(id ids.ID, initialMembers *ids.Set) (*Node, error) {
 		joined:     true,
 		activeFrom: active,
 		firstRun:   1,
-		runs:       make(map[uint64]*run),
 	}, nil
 }
 
@@ -126,7 +140,6 @@ func NewJoiner(id ids.ID) (*Node, error) {
 	return &Node{
 		id:         id,
 		activeFrom: make(map[ids.ID]uint64),
-		runs:       make(map[uint64]*run),
 	}, nil
 }
 
@@ -227,7 +240,7 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 			})
 		}
 		round := n.r
-		n.runs[round] = &run{
+		n.runs = append(n.runs, &run{
 			round:   round,
 			members: members.Len(),
 			node: parallelcon.New(n.id, inputs, parallelcon.Options{
@@ -236,18 +249,13 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 				RotorInstance:  instanceTag(round, 0),
 				InstanceFilter: func(iid uint64) bool { return iid>>48 == round },
 			}),
-		}
+		})
 	}
 
-	// Drive every in-flight execution with this round's inbox.
-	order := make([]uint64, 0, len(n.runs))
-	for round := range n.runs {
-		order = append(order, round)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	// Drive every in-flight execution with this round's inbox, in round
+	// order.
 	allDone := true
-	for _, round := range order {
-		rn := n.runs[round]
+	for _, rn := range n.runs {
 		if !rn.node.Done() {
 			rn.node.StepLocal(env.Round, env.Inbox, env.Broadcast)
 		}
@@ -259,6 +267,35 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 	if n.leaving && allDone {
 		n.left = true
 	}
+	n.finalize()
+}
+
+// finalize releases the final executions at the front of n.runs: while
+// the front execution is the next round after finalThrough (firstRun for
+// the first) and past the finality horizon, its outputs join the chain in
+// submitter order and its state is dropped.
+func (n *Node) finalize() {
+	next := n.firstRun
+	if n.finalThrough > 0 {
+		next = n.finalThrough + 1
+	}
+	k := 0
+	for ; k < len(n.runs); k++ {
+		rn := n.runs[k]
+		if rn.round != next || !n.finalityHorizon(rn) {
+			break
+		}
+		for _, pair := range rn.node.Outputs() {
+			n.chain = append(n.chain, ChainEntry{
+				Round:     rn.round,
+				Submitter: ids.ID(pair.Instance & uint64(maxID)),
+				Value:     pair.X.X,
+			})
+		}
+		n.finalThrough = rn.round
+		next++
+	}
+	n.runs = slices.Delete(n.runs, 0, k)
 }
 
 // stepJoin drives the present/ack handshake.
@@ -315,44 +352,21 @@ func (n *Node) finalityHorizon(rn *run) bool {
 // Chain returns the node's current totally-ordered event chain: the
 // outputs of all executions up to the largest R such that every execution
 // in [FirstRound, R] is final, ordered by round and then submitter id.
+// The result is a copy; it is nil while the chain is empty.
 func (n *Node) Chain() []ChainEntry {
-	var lastFinal uint64
-	haveFinal := false
-	for round := n.firstRun; ; round++ {
-		rn, ok := n.runs[round]
-		if !ok || !n.finalityHorizon(rn) {
-			break
-		}
-		lastFinal = round
-		haveFinal = true
+	return n.AppendChain(nil, 0)
+}
+
+// AppendChain appends the chain entries from position from onward to dst
+// and returns the extended slice. The chain is append-only, so a reader
+// that remembers how many entries it has seen reads only the new ones.
+func (n *Node) AppendChain(dst []ChainEntry, from int) []ChainEntry {
+	if from >= len(n.chain) {
+		return dst
 	}
-	if !haveFinal {
-		return nil
-	}
-	var chain []ChainEntry
-	for round := n.firstRun; round <= lastFinal; round++ {
-		rn := n.runs[round]
-		for _, pair := range rn.node.Outputs() {
-			chain = append(chain, ChainEntry{
-				Round:     round,
-				Submitter: ids.ID(pair.Instance & uint64(maxID)),
-				Value:     pair.X.X,
-			})
-		}
-	}
-	return chain
+	return append(dst, n.chain[from:]...)
 }
 
 // FinalizedThrough returns the largest round R such that all executions in
 // [FirstRound, R] are final (0 if none).
-func (n *Node) FinalizedThrough() uint64 {
-	var lastFinal uint64
-	for round := n.firstRun; ; round++ {
-		rn, ok := n.runs[round]
-		if !ok || !n.finalityHorizon(rn) {
-			break
-		}
-		lastFinal = round
-	}
-	return lastFinal
-}
+func (n *Node) FinalizedThrough() uint64 { return n.finalThrough }

@@ -74,6 +74,17 @@ func (n *Node) AcceptedOpinions() []AcceptedOpinion {
 	return out
 }
 
+// AppendAcceptedOpinions appends the opinions accepted after the first
+// from to dst and returns the extended slice. Acceptances are only ever
+// appended, so a reader that remembers how many it has seen reads only
+// the new ones.
+func (n *Node) AppendAcceptedOpinions(dst []AcceptedOpinion, from int) []AcceptedOpinion {
+	if from >= len(n.accepted) {
+		return dst
+	}
+	return append(dst, n.accepted[from:]...)
+}
+
 // Candidates exposes C_v for tests and experiments.
 func (n *Node) Candidates() *ids.Set { return n.core.Candidates() }
 

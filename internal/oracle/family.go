@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"uba/internal/core/approx"
@@ -91,21 +92,23 @@ func ForBroadcast(nodes []*relbcast.Node, correct *ids.Set) []Oracle {
 // accepted opinions (no two nodes accept different opinions from the
 // same coordinator slot) and termination within `bound` rounds.
 func ForRotor(nodes []*rotor.Node, bound int) []Oracle {
-	probe := func() []Claim {
-		var out []Claim
-		for _, n := range nodes {
-			for _, a := range n.AcceptedOpinions() {
-				out = append(out, Claim{
+	var accepted []rotor.AcceptedOpinion
+	tail := func(seen []int, dst []Claim) []Claim {
+		for i, n := range nodes {
+			accepted = n.AppendAcceptedOpinions(accepted[:0], seen[i])
+			for _, a := range accepted {
+				dst = append(dst, Claim{
 					Node:  n.ID(),
 					Key:   fmt.Sprintf("opinion:r%d:%d", a.Round, a.From),
 					Value: ValueString(a.X),
 				})
 			}
+			seen[i] += len(accepted)
 		}
-		return out
+		return dst
 	}
 	return []Oracle{
-		NewAgreement("rotor-agreement", probe),
+		newGrowingAgreement("rotor-agreement", len(nodes), tail),
 		NewTerminationBound("rotor-termination", bound, func() []ids.ID {
 			return pendingIDs(len(nodes), func(i int) (ids.ID, bool) {
 				return nodes[i].ID(), nodes[i].Done()
@@ -174,15 +177,16 @@ func ForApprox(nodes []*approx.Node, eps, lo, hi float64, bound int) []Oracle {
 // final id set, new names are unique, every correct id is named, and
 // termination within `bound` rounds.
 func ForRenaming(nodes []*renaming.Node, bound int) []Oracle {
-	probe := func() []Claim {
-		var out []Claim
-		for _, n := range nodes {
-			if !n.Done() {
-				continue
+	// A terminated node is never stepped again, so its final set is one
+	// claim, made once.
+	tail := func(seen []int, dst []Claim) []Claim {
+		for i, n := range nodes {
+			if seen[i] == 0 && n.Done() {
+				dst = append(dst, Claim{Node: n.ID(), Key: "final-set", Value: setString(n.FinalSet())})
+				seen[i] = 1
 			}
-			out = append(out, Claim{Node: n.ID(), Key: "final-set", Value: setString(n.FinalSet())})
 		}
-		return out
+		return dst
 	}
 	unique := func(r Round) *Violation {
 		taken := make(map[int]ids.ID)
@@ -203,7 +207,7 @@ func ForRenaming(nodes []*renaming.Node, bound int) []Oracle {
 		return nil
 	}
 	return []Oracle{
-		NewAgreement("renaming-agreement", probe),
+		newGrowingAgreement("renaming-agreement", len(nodes), tail),
 		NewFunc("renaming-uniqueness", unique),
 		NewTerminationBound("renaming-termination", bound, func() []ids.ID {
 			return pendingIDs(len(nodes), func(i int) (ids.ID, bool) {
@@ -216,22 +220,25 @@ func ForRenaming(nodes []*renaming.Node, bound int) []Oracle {
 // ForOrdering monitors the dynamic total-ordering protocol: finalized
 // chains are prefix-consistent across nodes (keyed by chain position, so
 // nodes at different finalization horizons compare only the shared
-// prefix).
+// prefix). Chains are append-only, so each round reads and formats only
+// the entries finalized since the last one.
 func ForOrdering(nodes []*ordering.Node) []Oracle {
-	probe := func() []Claim {
-		var out []Claim
-		for _, n := range nodes {
-			for i, e := range n.Chain() {
-				out = append(out, Claim{
+	var entries []ordering.ChainEntry
+	tail := func(seen []int, dst []Claim) []Claim {
+		for i, n := range nodes {
+			entries = n.AppendChain(entries[:0], seen[i])
+			for j, e := range entries {
+				dst = append(dst, Claim{
 					Node:  n.ID(),
-					Key:   fmt.Sprintf("chain:%d", i),
+					Key:   "chain:" + strconv.Itoa(seen[i]+j),
 					Value: e.String(),
 				})
 			}
+			seen[i] += len(entries)
 		}
-		return out
+		return dst
 	}
-	return []Oracle{NewAgreement("ordering-agreement", probe)}
+	return []Oracle{newGrowingAgreement("ordering-agreement", len(nodes), tail)}
 }
 
 // pendingIDs collects the ids of not-yet-done nodes.

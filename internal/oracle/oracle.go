@@ -14,6 +14,16 @@
 // (internal/chaos) possible: the shrinker re-runs a candidate
 // configuration and asks only "does the same oracle still fire?".
 //
+// The agreement monitors of ForOrdering, ForRotor and ForRenaming rely on
+// an append-only contract: a node's claims only grow at the end, and a
+// claim, once made, keeps its key and value (finalized chain positions,
+// accepted rotor opinions, a terminated node's final set). They format
+// only the claims made since the previous round and fall back to the
+// full check on a mismatch, so their per-round cost does not grow with
+// the run and their violations equal NewAgreement's. An ordering node
+// releases each execution once it is final, so the ordering arena's
+// memory is bounded by the finality horizon as well.
+//
 // Oracles must be deterministic: given the same run they must report the
 // same violation in the same round with the same detail string. All
 // constructors here preserve that property (claims are compared in probe
@@ -131,6 +141,62 @@ func (a *agreement) Observe(r Round) *Violation {
 				Detail: fmt.Sprintf("nodes %d and %d disagree on %q: %q vs %q",
 					prev.Node, c.Node, c.Key, prev.Value, c.Value),
 			}
+		}
+	}
+	return nil
+}
+
+// tailProber appends to dst the claims node i made since the first
+// seen[i] it made, for every node i in probe order, advances seen, and
+// returns the extended slice. It is the Prober of an append-only claim
+// stream: a node's claims only ever grow at the end, and a claim, once
+// made, keeps its key and value. Finalized chain positions, accepted
+// rotor opinions and a terminated node's final set all qualify.
+type tailProber func(seen []int, dst []Claim) []Claim
+
+// growingAgreement is keyed agreement over append-only claim streams. It
+// formats only the claims made since the last round and checks each
+// against the value first claimed for its key, so a round costs time in
+// the new claims, not in everything claimed so far. While no two claims
+// conflict, that is exactly the full check's verdict. On the first
+// conflict it runs the full check, so the reported nodes, claims and
+// order are byte-identical to NewAgreement's.
+type growingAgreement struct {
+	full   agreement
+	tail   tailProber
+	seen   []int
+	values map[string]string
+	fresh  []Claim // reused buffer for the round's new claims
+}
+
+// newGrowingAgreement returns the agreement monitor over the append-only
+// claim streams of the given number of nodes. Its full check probes
+// every stream from its start.
+func newGrowingAgreement(name string, nodes int, tail tailProber) Oracle {
+	return &growingAgreement{
+		full: agreement{name: name, probe: func() []Claim {
+			return tail(make([]int, nodes), nil)
+		}},
+		tail:   tail,
+		seen:   make([]int, nodes),
+		values: make(map[string]string),
+	}
+}
+
+// Name implements Oracle.
+func (g *growingAgreement) Name() string { return g.full.name }
+
+// Observe implements Oracle.
+func (g *growingAgreement) Observe(r Round) *Violation {
+	g.fresh = g.tail(g.seen, g.fresh[:0])
+	for _, c := range g.fresh {
+		v, ok := g.values[c.Key]
+		if !ok {
+			g.values[c.Key] = c.Value
+			continue
+		}
+		if v != c.Value {
+			return g.full.Observe(r)
 		}
 	}
 	return nil
