@@ -86,6 +86,25 @@ func BenchmarkConsensusRun(b *testing.B) {
 			}
 		})
 	}
+	// The end-to-end benchmark's consensus-n128 configuration: g = 86
+	// correct nodes against f = 42 split voters, on one fixed seed, so
+	// the row can be compared across revisions with plain go test -bench.
+	b.Run("n=128-split", func(b *testing.B) {
+		const g, f = 86, 42
+		inputs := make([]float64, g)
+		for i := range inputs {
+			inputs[i] = float64(i % 2)
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := uba.Consensus(uba.Config{
+				Correct: g, Byzantine: f,
+				Adversary: uba.AdversarySplit, Seed: 1,
+			}, inputs); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkRotorRun(b *testing.B) {

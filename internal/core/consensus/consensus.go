@@ -76,8 +76,13 @@ type Node struct {
 	lastSent map[wire.Kind]wire.Value
 	hasSent  map[wire.Kind]bool
 
-	// storedSP is the strongprefer tally taken at PR4, resolved at PR5.
-	storedSP tallies
+	// votes is the quorum-tally scratch every tallied round reuses.
+	votes census.Tally
+	// storedSP is the strongprefer quorum taken at PR4, resolved at PR5.
+	// Between a PR5 and the next PR4 (and before the first) it is an
+	// empty tally against the frozen n_v: a node that misses a PR4 (a
+	// crash fault revives it mid-phase) resolves against that.
+	storedSP census.Quorum
 
 	coordinator ids.ID // selected at PR4 of the current phase
 
@@ -154,75 +159,34 @@ func (n *Node) History() []PhaseRecord {
 // NV returns the frozen n_v (0 before initialization completes).
 func (n *Node) NV() int { return n.frozen.N() }
 
-// tallies is a per-round message count by opinion value.
-type tallies struct {
-	counts map[wire.ValueKey]int
-	values map[wire.ValueKey]wire.Value
-	total  int
-}
-
-func newTallies() tallies {
-	return tallies{counts: make(map[wire.ValueKey]int), values: make(map[wire.ValueKey]wire.Value)}
-}
-
-func (t *tallies) add(v wire.Value, k int) {
-	if k <= 0 {
-		return
-	}
-	key := v.Key()
-	t.counts[key] += k
-	t.values[key] = v
-	t.total += k
-}
-
-// best returns the value with the highest count, breaking ties toward the
-// smaller value so every node resolves identically.
-func (t *tallies) best() (wire.Value, int) {
-	var bestVal wire.Value
-	bestCount := -1
-	for key, count := range t.counts {
-		v := t.values[key]
-		switch {
-		case count > bestCount:
-			bestVal, bestCount = v, count
-		case count == bestCount && v.Less(bestVal):
-			bestVal = v
-		}
-	}
-	if bestCount < 0 {
-		return wire.Value{}, 0
-	}
-	return bestVal, bestCount
-}
-
 // Step implements simnet.Process.
 func (n *Node) Step(env *simnet.RoundEnv) {
 	switch env.Round {
 	case 1:
-		n.observeAll(env)
+		n.cen.ObserveInbox(env.Inbox)
 		n.core.BroadcastInit(env.Broadcast)
 		return
 	case 2:
-		n.observeAll(env)
+		n.cen.ObserveInbox(env.Inbox)
 		n.core.EchoInits(env.Inbox, env.Broadcast)
 		// Freeze n_v: ids heard during initialization are the
 		// protocol's world; everything else is discarded later.
 		n.frozen = n.cen.Freeze()
+		n.storedSP = census.Quorum{N: n.frozen.N()}
 		return
 	}
 
 	// Loop rounds. Feed the rotor core every inbox (its candidate
 	// echoes arrive one round after each rotor round executes).
-	n.core.NoteInbox(env.Inbox, n.frozen.Contains)
+	n.core.NoteInbox(env.Inbox, &n.frozen)
 
 	switch (env.Round - 3) % 5 {
 	case 0: // PR1: broadcast input
 		n.send(env, wire.Input{X: n.x})
 	case 1: // PR2: tally inputs, maybe prefer
-		t := n.tally(env.Inbox, wire.KindInput)
-		v, count := t.best()
-		if census.AtLeastTwoThirds(count, n.frozen.N()) {
-			n.send(env, wire.Prefer{X: v})
+		q := n.tally(env.Inbox, wire.KindInput).Best()
+		if q.AtLeastTwoThirds() {
+			n.send(env, wire.Prefer{X: q.X})
 		} else {
 			// No quorum: announce it. Without the marker, other
 			// correct nodes would substitute their own opinions for
@@ -237,21 +201,20 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 			delete(n.hasSent, wire.KindPrefer)
 		}
 	case 2: // PR3: tally prefers, maybe adopt and strongprefer
-		t := n.tally(env.Inbox, wire.KindPrefer)
-		v, count := t.best()
-		if census.AtLeastThird(count, n.frozen.N()) {
-			n.x = v
+		q := n.tally(env.Inbox, wire.KindPrefer).Best()
+		if q.AtLeastThird() {
+			n.x = q.X
 		}
-		if census.AtLeastTwoThirds(count, n.frozen.N()) {
-			n.send(env, wire.StrongPrefer{X: v})
+		if q.AtLeastTwoThirds() {
+			n.send(env, wire.StrongPrefer{X: q.X})
 		} else {
 			if !n.noMarkers {
 				env.Broadcast(wire.NoStrongPreference{})
 			}
 			delete(n.hasSent, wire.KindStrongPrefer)
 		}
-	case 3: // PR4: store strongprefer tally, run a rotor round
-		n.storedSP = n.tally(env.Inbox, wire.KindStrongPrefer)
+	case 3: // PR4: store the strongprefer quorum, run a rotor round
+		n.storedSP = n.tally(env.Inbox, wire.KindStrongPrefer).Best()
 		sel := n.core.LoopRound(n.frozen.N(), n.x, env.Broadcast)
 		n.coordinator = sel.Coordinator
 	case 4: // PR5: resolve against the coordinator, maybe terminate
@@ -264,17 +227,17 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 func (n *Node) resolve(env *simnet.RoundEnv) {
 	coordOpinion, coordOK := n.coordinatorOpinion(env.Inbox)
 
-	v, count := n.storedSP.best()
+	q := n.storedSP
 	adopted := false
-	if census.LessThanThird(count, n.frozen.N()) {
+	if q.LessThanThird() {
 		if coordOK {
 			n.x = coordOpinion
 			adopted = true
 		}
 	}
-	if census.AtLeastTwoThirds(count, n.frozen.N()) {
+	if q.AtLeastTwoThirds() {
 		n.decided = true
-		n.output = v
+		n.output = q.X
 		n.decidedRound = env.Round
 	}
 	n.history = append(n.history, PhaseRecord{
@@ -284,7 +247,7 @@ func (n *Node) resolve(env *simnet.RoundEnv) {
 		X:                  n.x,
 	})
 	n.phase++
-	n.storedSP = tallies{}
+	n.storedSP = census.Quorum{N: n.frozen.N()}
 }
 
 // coordinatorOpinion extracts the opinion(x) sent by this phase's
@@ -322,60 +285,41 @@ func (n *Node) send(env *simnet.RoundEnv, p wire.Payload) {
 
 // tally counts the round's messages of the given kind from censused
 // senders and applies the substitution rule for censused ids that sent
-// nothing of that kind.
-func (n *Node) tally(inbox simnet.Inbox, kind wire.Kind) tallies {
-	t := newTallies()
-	senders := make(map[ids.ID]struct{})
-	for m := range inbox.All() {
-		if !n.frozen.Contains(m.From) {
-			continue
-		}
+// nothing of that kind. The returned tally is the node's scratch, valid
+// until the next call.
+func (n *Node) tally(inbox simnet.Inbox, kind wire.Kind) *census.Tally {
+	t := &n.votes
+	t.Reset(n.frozen.N())
+	for slot, m := range n.frozen.Censused(inbox) {
 		switch p := m.Payload.(type) {
 		case wire.Input:
-			if kind != wire.KindInput || p.Instance != 0 {
-				continue
+			if kind == wire.KindInput && p.Instance == 0 {
+				t.Vote(slot, p.X)
 			}
-			t.add(p.X, 1)
-			senders[m.From] = struct{}{}
 		case wire.Prefer:
-			if kind != wire.KindPrefer || p.Instance != 0 {
-				continue
+			if kind == wire.KindPrefer && p.Instance == 0 {
+				t.Vote(slot, p.X)
 			}
-			t.add(p.X, 1)
-			senders[m.From] = struct{}{}
 		case wire.NoPreference:
 			// A no-quorum marker: the sender is present (so no
 			// substitution for it) but contributes no opinion.
-			if kind != wire.KindPrefer || p.Instance != 0 {
-				continue
+			if kind == wire.KindPrefer && p.Instance == 0 {
+				t.Mark(slot)
 			}
-			senders[m.From] = struct{}{}
 		case wire.StrongPrefer:
-			if kind != wire.KindStrongPrefer || p.Instance != 0 {
-				continue
+			if kind == wire.KindStrongPrefer && p.Instance == 0 {
+				t.Vote(slot, p.X)
 			}
-			t.add(p.X, 1)
-			senders[m.From] = struct{}{}
 		case wire.NoStrongPreference:
-			if kind != wire.KindStrongPrefer || p.Instance != 0 {
-				continue
+			if kind == wire.KindStrongPrefer && p.Instance == 0 {
+				t.Mark(slot)
 			}
-			senders[m.From] = struct{}{}
 		}
 	}
 	// Substitution: every censused id with no message of this kind this
 	// round is assumed to have sent what this node sent last round.
 	if n.hasSent[kind] {
-		if missing := n.frozen.N() - len(senders); missing > 0 {
-			t.add(n.lastSent[kind], missing)
-		}
+		t.Fill(n.lastSent[kind])
 	}
 	return t
-}
-
-// observeAll tracks senders during initialization.
-func (n *Node) observeAll(env *simnet.RoundEnv) {
-	for m := range env.Inbox.All() {
-		n.cen.Observe(m.From)
-	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"uba/internal/adversary"
+	"uba/internal/census"
 	"uba/internal/ids"
 	"uba/internal/simnet"
 	"uba/internal/wire"
@@ -329,16 +330,18 @@ func TestAgreementNearMaximumFaultLoad(t *testing.T) {
 
 func TestTallyBestTieBreaksDeterministically(t *testing.T) {
 	t.Parallel()
-	tl := newTallies()
-	tl.add(wire.V(5), 3)
-	tl.add(wire.V(2), 3)
-	v, count := tl.best()
-	if count != 3 || !v.Equal(wire.V(2)) {
-		t.Fatalf("best = (%v, %d), want (2, 3)", v, count)
+	var tl census.Tally
+	tl.Reset(6)
+	for slot := range 3 {
+		tl.Vote(slot, wire.V(5))
+		tl.Vote(3+slot, wire.V(2))
 	}
-	empty := newTallies()
-	if _, count := empty.best(); count != 0 {
-		t.Fatalf("empty tally best count = %d", count)
+	if q := tl.Best(); q.Count != 3 || !q.X.Equal(wire.V(2)) {
+		t.Fatalf("best = (%v, %d), want (2, 3)", q.X, q.Count)
+	}
+	tl.Reset(6)
+	if q := tl.Best(); q.Count != 0 {
+		t.Fatalf("empty tally best count = %d", q.Count)
 	}
 }
 

@@ -46,10 +46,10 @@ func TestTallySubstitutionSemantics(t *testing.T) {
 		rcv(1, wire.Input{X: wire.V(7)}),
 		rcv(2, wire.Input{X: wire.V(9)}),
 	), wire.KindInput)
-	if got := tally.counts[wire.V(7).Key()]; got != 1+3 {
+	if got := tally.Count(wire.V(7)); got != 1+3 {
 		t.Fatalf("count(7) = %d, want 4 (self + 3 substituted)", got)
 	}
-	if got := tally.counts[wire.V(9).Key()]; got != 1 {
+	if got := tally.Count(wire.V(9)); got != 1 {
 		t.Fatalf("count(9) = %d, want 1", got)
 	}
 }
@@ -66,7 +66,7 @@ func TestTallyMarkersPreventSubstitution(t *testing.T) {
 		rcv(1, wire.Prefer{X: wire.V(5)}),
 		rcv(2, wire.NoPreference{}),
 	), wire.KindPrefer)
-	if got := tally.counts[wire.V(5).Key()]; got != 1+1 {
+	if got := tally.Count(wire.V(5)); got != 1+1 {
 		t.Fatalf("count(5) = %d, want 2 (self + substituted node 3)", got)
 	}
 }
@@ -79,11 +79,7 @@ func TestTallyNoSubstitutionWithoutOwnSend(t *testing.T) {
 	tally := node.tally(simnet.InboxOf(
 		rcv(2, wire.StrongPrefer{X: wire.V(1)}),
 	), wire.KindStrongPrefer)
-	total := 0
-	for _, c := range tally.counts {
-		total += c
-	}
-	if total != 1 {
+	if total := tally.Total(); total != 1 {
 		t.Fatalf("total counted %d, want only the real message", total)
 	}
 }
@@ -96,11 +92,7 @@ func TestTallyIgnoresStrangersAndForeignInstances(t *testing.T) {
 		rcv(99, wire.Input{X: wire.V(1)}),             // stranger
 		rcv(2, wire.Input{Instance: 7, X: wire.V(1)}), // tagged for another protocol
 	), wire.KindInput)
-	total := 0
-	for _, c := range tally.counts {
-		total += c
-	}
-	if total != 0 {
+	if total := tally.Total(); total != 0 {
 		t.Fatalf("counted %d messages, want 0", total)
 	}
 }
@@ -118,12 +110,13 @@ func TestTallyDoubleVoteCountsBothValues(t *testing.T) {
 		rcv(2, wire.Input{X: wire.V(3)}),
 		rcv(2, wire.Input{X: wire.V(4)}),
 	), wire.KindInput)
-	if tally.counts[wire.V(3).Key()] != 1 || tally.counts[wire.V(4).Key()] != 1 {
-		t.Fatalf("double vote miscounted: %+v", tally.counts)
+	if tally.Count(wire.V(3)) != 1 || tally.Count(wire.V(4)) != 1 {
+		t.Fatalf("double vote miscounted: count(3) = %d, count(4) = %d",
+			tally.Count(wire.V(3)), tally.Count(wire.V(4)))
 	}
-	if tally.counts[wire.V(0).Key()] != 1 {
+	if tally.Count(wire.V(0)) != 1 {
 		t.Fatalf("count(0) = %d, want 1 (no substitution: everyone present)",
-			tally.counts[wire.V(0).Key()])
+			tally.Count(wire.V(0)))
 	}
 }
 

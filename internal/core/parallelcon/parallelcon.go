@@ -42,7 +42,8 @@
 package parallelcon
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"uba/internal/census"
 	"uba/internal/core/rotor"
@@ -67,10 +68,24 @@ type OutputPair struct {
 type family int
 
 const (
-	famInput family = iota + 1
+	famInput family = iota
 	famPrefer
 	famStrongPrefer
+	numFamilies
+
+	famNone family = -1 // a message of no tallied family
 )
+
+// talliedAt returns the family tallied in the given round of a phase
+// (PR2 inputs, PR3 prefers, PR4 strongprefers), or famNone. It is also
+// the family whose messages may make a node join an instance in that
+// round of the first phase.
+func talliedAt(pr int) family {
+	if pr >= 1 && pr <= 3 {
+		return family(pr - 1)
+	}
+	return famNone
+}
 
 // Options configures a parallel-consensus run.
 type Options struct {
@@ -96,11 +111,23 @@ type instance struct {
 	id uint64
 	x  wire.Value
 
-	seenFamily map[family]bool
-	lastSent   map[family]wire.Value
-	hasSent    map[family]bool
+	seenFamily [numFamilies]bool
+	lastSent   [numFamilies]wire.Value
+	hasSent    [numFamilies]bool
 
-	storedSP tallies
+	// quorum is the instance's tally of the round's family.
+	quorum census.Quorum
+	// storedSP is the strongprefer quorum taken at PR4, resolved at
+	// PR5. Between a PR5 and the next PR4 (and before the first) it is
+	// an empty tally against the frozen n_v: a node that misses a PR4
+	// (a crash fault revives it mid-phase) resolves against that.
+	storedSP census.Quorum
+	// coord is the coordinator's opinion received at PR5, if hasCoord.
+	coord    wire.Value
+	hasCoord bool
+	// pos is the instance's index in Node.inst while a tally buckets
+	// the round's ballots.
+	pos int
 
 	decided  bool
 	output   wire.Value
@@ -108,14 +135,13 @@ type instance struct {
 	decRound int
 }
 
-func newInstance(id uint64, x wire.Value) *instance {
-	return &instance{
-		id:         id,
-		x:          x,
-		seenFamily: make(map[family]bool),
-		lastSent:   make(map[family]wire.Value),
-		hasSent:    make(map[family]bool),
-	}
+// ballot is one tallied message: a vote for x, or a no-quorum marker,
+// from the census slot of its sender.
+type ballot struct {
+	ins    *instance
+	slot   int
+	x      wire.Value
+	marker bool
 }
 
 // Node is one correct parallel-consensus participant.
@@ -126,14 +152,20 @@ type Node struct {
 	opts Options
 
 	cen    census.Census
-	frozen census.Frozen
-	ready  bool // frozen census available
+	frozen census.Frozen // empty, so accepting no sender, until fixed
 
 	core        *rotor.Core
 	coordinator ids.ID
 
-	inst    map[uint64]*instance
+	inst    []*instance // ascending instance id
 	ignored map[uint64]struct{}
+
+	// Tally scratch, reused every round: the round's ballots, the same
+	// bucketed by instance, the bucket bounds, and the kernel.
+	ballots []ballot
+	buckets []ballot
+	bounds  []int
+	votes   census.Tally
 
 	phasesRun int
 	done      bool
@@ -149,25 +181,39 @@ func New(id ids.ID, inputs []InputPair, opts Options) *Node {
 	core := rotor.NewCore(id, opts.RotorInstance)
 	core.SetCycling(true)
 	n := &Node{
-		id:      id,
-		opts:    opts,
-		core:    core,
-		inst:    make(map[uint64]*instance),
-		ignored: make(map[uint64]struct{}),
-	}
-	for _, in := range inputs {
-		n.inst[in.Instance] = newInstance(in.Instance, in.X)
+		id:   id,
+		opts: opts,
+		core: core,
+		inst: make([]*instance, 0, len(inputs)),
 	}
 	if opts.Members != nil {
-		c := census.New()
-		for _, m := range opts.Members.Members() {
-			c.Observe(m)
-		}
-		n.frozen = c.Freeze()
-		n.ready = true
+		n.frozen = census.FrozenOf(opts.Members)
 		core.SeedCandidates(opts.Members)
 	}
+	for _, in := range inputs {
+		n.AddInput(in)
+	}
 	return n
+}
+
+// lookup returns the instance with the given id, or nil.
+func (n *Node) lookup(id uint64) *instance {
+	if i, ok := n.search(id); ok {
+		return n.inst[i]
+	}
+	return nil
+}
+
+func (n *Node) search(id uint64) (int, bool) {
+	return slices.BinarySearchFunc(n.inst, id, func(ins *instance, id uint64) int { return cmp.Compare(ins.id, id) })
+}
+
+// join adds a new instance, keeping n.inst in id order.
+func (n *Node) join(id uint64, x wire.Value) *instance {
+	ins := &instance{id: id, x: x, storedSP: census.Quorum{N: n.frozen.N()}}
+	i, _ := n.search(id)
+	n.inst = slices.Insert(n.inst, i, ins)
+	return ins
 }
 
 // AddInput registers an additional input pair. It is only meaningful
@@ -177,11 +223,11 @@ func New(id ids.ID, inputs []InputPair, opts Options) *Node {
 // round 2 — use it the way terminating reliable broadcast uses
 // consensus.SetInput).
 func (n *Node) AddInput(pair InputPair) {
-	if ins, ok := n.inst[pair.Instance]; ok {
+	if ins := n.lookup(pair.Instance); ins != nil {
 		ins.x = pair.X
 		return
 	}
-	n.inst[pair.Instance] = newInstance(pair.Instance, pair.X)
+	n.join(pair.Instance, pair.X)
 }
 
 // ID implements simnet.Process.
@@ -198,14 +244,13 @@ func (n *Node) Outputs() []OutputPair {
 			out = append(out, OutputPair{Instance: ins.id, X: ins.output})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Instance < out[j].Instance })
 	return out
 }
 
 // DecisionRound returns the round in which the given instance decided
 // (0 if unknown or undecided).
 func (n *Node) DecisionRound(instanceID uint64) int {
-	if ins, ok := n.inst[instanceID]; ok && ins.decided {
+	if ins := n.lookup(instanceID); ins != nil && ins.decided {
 		return ins.decRound
 	}
 	return 0
@@ -213,8 +258,7 @@ func (n *Node) DecisionRound(instanceID uint64) int {
 
 // Aware reports whether the node ever joined the instance.
 func (n *Node) Aware(instanceID uint64) bool {
-	_, ok := n.inst[instanceID]
-	return ok
+	return n.lookup(instanceID) != nil
 }
 
 // Phases returns the number of completed phases.
@@ -241,14 +285,16 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, send func(wire.Payload))
 	if n.opts.Members == nil {
 		switch local {
 		case 1:
-			n.observe(inbox)
+			n.cen.ObserveInbox(inbox)
 			n.core.BroadcastInit(send)
 			return
 		case 2:
-			n.observe(inbox)
+			n.cen.ObserveInbox(inbox)
 			n.core.EchoInits(inbox, send)
 			n.frozen = n.cen.Freeze()
-			n.ready = true
+			for _, ins := range n.inst {
+				ins.storedSP = census.Quorum{N: n.frozen.N()}
+			}
 			return
 		}
 		loopLocal = local - 3
@@ -256,22 +302,23 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, send func(wire.Payload))
 		loopLocal = local - 1
 	}
 
-	n.core.NoteInbox(inbox, n.acceptSender)
+	n.core.NoteInbox(inbox, &n.frozen)
 	pr := loopLocal % 5
 	phase := loopLocal / 5
 
-	n.scanAwareness(inbox, phase, pr)
+	fam := talliedAt(pr)
+	n.scan(inbox, phase, fam)
 
 	switch pr {
 	case 0: // PR1: broadcast id:input(x) for every live instance with x ≠ ⊥
-		for _, ins := range n.instancesInOrder() {
+		for _, ins := range n.inst {
 			if ins.decided {
 				continue
 			}
 			if ins.x.IsBot {
 				// No opinion to vouch for: stay silent this round
 				// and fill missing senders with ⊥ next round.
-				delete(ins.hasSent, famInput)
+				ins.hasSent[famInput] = false
 				continue
 			}
 			send(wire.Input{Instance: ins.id, X: ins.x})
@@ -279,46 +326,45 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, send func(wire.Payload))
 			ins.hasSent[famInput] = true
 		}
 	case 1: // PR2: tally inputs; prefer or nopreference
-		for _, ins := range n.instancesInOrder() {
+		n.tally(fam)
+		for _, ins := range n.inst {
 			if ins.decided {
 				continue
 			}
-			t := n.tally(ins, inbox, famInput)
-			v, count := t.best()
-			if census.AtLeastTwoThirds(count, n.frozen.N()) {
-				send(wire.Prefer{Instance: ins.id, X: v})
-				ins.lastSent[famPrefer] = v
+			if q := ins.quorum; q.AtLeastTwoThirds() {
+				send(wire.Prefer{Instance: ins.id, X: q.X})
+				ins.lastSent[famPrefer] = q.X
 				ins.hasSent[famPrefer] = true
 			} else {
 				send(wire.NoPreference{Instance: ins.id})
-				delete(ins.hasSent, famPrefer)
+				ins.hasSent[famPrefer] = false
 			}
 		}
 	case 2: // PR3: tally prefers; adopt at n_v/3; strongprefer at 2n_v/3
-		for _, ins := range n.instancesInOrder() {
+		n.tally(fam)
+		for _, ins := range n.inst {
 			if ins.decided {
 				continue
 			}
-			t := n.tally(ins, inbox, famPrefer)
-			v, count := t.best()
-			if census.AtLeastThird(count, n.frozen.N()) {
-				ins.x = v
+			q := ins.quorum
+			if q.AtLeastThird() {
+				ins.x = q.X
 			}
-			if census.AtLeastTwoThirds(count, n.frozen.N()) {
-				send(wire.StrongPrefer{Instance: ins.id, X: v})
-				ins.lastSent[famStrongPrefer] = v
+			if q.AtLeastTwoThirds() {
+				send(wire.StrongPrefer{Instance: ins.id, X: q.X})
+				ins.lastSent[famStrongPrefer] = q.X
 				ins.hasSent[famStrongPrefer] = true
 			} else {
 				send(wire.NoStrongPreference{Instance: ins.id})
-				delete(ins.hasSent, famStrongPrefer)
+				ins.hasSent[famStrongPrefer] = false
 			}
 		}
-	case 3: // PR4: store strongprefer tallies; run the shared rotor round
-		for _, ins := range n.instancesInOrder() {
-			if ins.decided {
-				continue
+	case 3: // PR4: store strongprefer quorums; run the shared rotor round
+		n.tally(fam)
+		for _, ins := range n.inst {
+			if !ins.decided {
+				ins.storedSP = ins.quorum
 			}
-			ins.storedSP = n.tally(ins, inbox, famStrongPrefer)
 		}
 		sel := n.core.LoopRound(n.frozen.N(), wire.Value{}, func(p wire.Payload) {
 			// The core's own opinion message carries the rotor tag,
@@ -331,7 +377,7 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, send func(wire.Payload))
 		})
 		n.coordinator = sel.Coordinator
 		if sel.Coordinator == n.id {
-			for _, ins := range n.instancesInOrder() {
+			for _, ins := range n.inst {
 				if ins.decided {
 					continue
 				}
@@ -339,26 +385,24 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, send func(wire.Payload))
 			}
 		}
 	case 4: // PR5: resolve per instance against the coordinator's opinion
-		opinions := n.coordinatorOpinions(inbox)
-		for _, ins := range n.instancesInOrder() {
+		n.coordinatorOpinions(inbox)
+		for _, ins := range n.inst {
 			if ins.decided {
 				continue
 			}
-			v, count := ins.storedSP.best()
-			if census.LessThanThird(count, n.frozen.N()) {
-				if c, ok := opinions[ins.id]; ok {
-					ins.x = c
-				}
+			q := ins.storedSP
+			ins.storedSP = census.Quorum{N: n.frozen.N()}
+			if q.LessThanThird() && ins.hasCoord {
+				ins.x = ins.coord
 			}
-			if census.AtLeastTwoThirds(count, n.frozen.N()) {
+			if q.AtLeastTwoThirds() {
 				ins.decided = true
 				ins.decRound = round
-				if !v.IsBot {
-					ins.output = v
+				if !q.X.IsBot {
+					ins.output = q.X
 					ins.hasOut = true
 				}
 			}
-			ins.storedSP = tallies{}
 		}
 		n.phasesRun = phase + 1
 		if n.allDecided() {
@@ -376,179 +420,138 @@ func (n *Node) allDecided() bool {
 	return true
 }
 
-func (n *Node) instancesInOrder() []*instance {
-	out := make([]*instance, 0, len(n.inst))
-	for _, ins := range n.inst {
-		out = append(out, ins)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
-}
-
-func (n *Node) acceptSender(id ids.ID) bool {
-	return n.ready && n.frozen.Contains(id)
-}
-
 func (n *Node) accepts(instanceID uint64) bool {
 	return n.opts.InstanceFilter == nil || n.opts.InstanceFilter(instanceID)
 }
 
-// scanAwareness joins instances first heard during the joinable windows of
-// the first phase and permanently ignores everything else.
-func (n *Node) scanAwareness(inbox simnet.Inbox, phase, pr int) {
-	for m := range inbox.All() {
-		if !n.acceptSender(m.From) {
+// scan is the round's one pass over the inbox. It joins instances first
+// heard during the joinable windows of the first phase, permanently
+// ignores every other first contact, and collects the ballots of the
+// family fam tallies this round (none for famNone) for live instances.
+func (n *Node) scan(inbox simnet.Inbox, phase int, fam family) {
+	n.ballots = n.ballots[:0]
+	for slot, m := range n.frozen.Censused(inbox) {
+		var (
+			iid    uint64
+			x      wire.Value
+			mfam   = famNone
+			marker bool
+		)
+		switch p := m.Payload.(type) {
+		case wire.Input:
+			iid, x, mfam = p.Instance, p.X, famInput
+		case wire.Prefer:
+			iid, x, mfam = p.Instance, p.X, famPrefer
+		case wire.NoPreference:
+			iid, mfam, marker = p.Instance, famPrefer, true
+		case wire.StrongPrefer:
+			iid, x, mfam = p.Instance, p.X, famStrongPrefer
+		case wire.NoStrongPreference:
+			iid, mfam, marker = p.Instance, famStrongPrefer, true
+		case wire.Instanced:
+			iid = p.InstanceID()
+		default:
 			continue
 		}
-		tagged, ok := m.Payload.(wire.Instanced)
-		if !ok {
-			continue
-		}
-		iid := tagged.InstanceID()
-		if !n.accepts(iid) {
-			continue
-		}
-		if _, known := n.inst[iid]; known {
-			continue
-		}
-		if _, ign := n.ignored[iid]; ign {
-			continue
-		}
-		joinable := false
-		if phase == 0 {
-			switch m.Payload.(type) {
-			case wire.Input:
-				joinable = pr == 1
-			case wire.Prefer, wire.NoPreference:
-				joinable = pr == 2
-			case wire.StrongPrefer, wire.NoStrongPreference:
-				joinable = pr == 3
+		ins := n.lookup(iid)
+		if ins == nil {
+			if !n.accepts(iid) {
+				continue
 			}
+			if _, ign := n.ignored[iid]; ign {
+				continue
+			}
+			// Only a message of the family this round tallies, in
+			// the first phase, joins.
+			if phase != 0 || fam == famNone || mfam != fam {
+				if n.ignored == nil {
+					n.ignored = make(map[uint64]struct{})
+				}
+				n.ignored[iid] = struct{}{}
+				continue
+			}
+			ins = n.join(iid, wire.Bot())
 		}
-		if joinable {
-			n.inst[iid] = newInstance(iid, wire.Bot())
-		} else {
-			n.ignored[iid] = struct{}{}
+		if mfam == fam && fam != famNone && !ins.decided {
+			n.ballots = append(n.ballots, ballot{ins: ins, slot: slot, x: x, marker: marker})
 		}
 	}
 }
 
-// coordinatorOpinions extracts per-instance opinions sent by this phase's
-// coordinator.
-func (n *Node) coordinatorOpinions(inbox simnet.Inbox) map[uint64]wire.Value {
-	out := make(map[uint64]wire.Value)
-	if n.coordinator == ids.None {
-		return out
+// tally counts the round's ballots of family fam for every live
+// instance, applying the paper's substitution rules, and leaves each
+// result in the instance's quorum. Marker ballots
+// (nopreference/nostrongpreference) count their sender as present
+// without contributing an opinion. The ballots are bucketed by instance
+// with a counting sort, so one kernel counts every instance in turn.
+func (n *Node) tally(fam family) {
+	for i, ins := range n.inst {
+		ins.pos = i
+	}
+	n.bounds = slices.Grow(n.bounds[:0], len(n.inst)+1)[:len(n.inst)+1]
+	clear(n.bounds)
+	for _, b := range n.ballots {
+		n.bounds[b.ins.pos+1]++
+	}
+	for i := 1; i < len(n.bounds); i++ {
+		n.bounds[i] += n.bounds[i-1]
+	}
+	n.buckets = slices.Grow(n.buckets[:0], len(n.ballots))[:len(n.ballots)]
+	for _, b := range n.ballots {
+		// bounds[pos] is the bucket's next free place while filling,
+		// and ends as the start of the next bucket.
+		n.buckets[n.bounds[b.ins.pos]] = b
+		n.bounds[b.ins.pos]++
+	}
+	t := &n.votes
+	lo := 0
+	for i, ins := range n.inst {
+		hi := n.bounds[i]
+		bucket := n.buckets[lo:hi]
+		lo = hi
+		if ins.decided {
+			continue
+		}
+		t.Reset(n.frozen.N())
+		for _, b := range bucket {
+			if b.marker {
+				t.Mark(b.slot)
+			} else {
+				t.Vote(b.slot, b.x)
+			}
+		}
+		// Substitution for censused nodes that sent nothing of this
+		// family: ⊥ on first receipt of the family, own most recent
+		// message of the family afterwards (⊥ if never sent).
+		fill := wire.Bot()
+		if ins.seenFamily[fam] && ins.hasSent[fam] {
+			fill = ins.lastSent[fam]
+		}
+		t.Fill(fill)
+		if len(bucket) > 0 {
+			ins.seenFamily[fam] = true
+		}
+		ins.quorum = t.Best()
+	}
+}
+
+// coordinatorOpinions records the per-instance opinions sent by this
+// phase's coordinator.
+func (n *Node) coordinatorOpinions(inbox simnet.Inbox) {
+	for _, ins := range n.inst {
+		ins.hasCoord = false
+	}
+	if n.coordinator == ids.None || !n.frozen.Contains(n.coordinator) {
+		return
 	}
 	for m := range inbox.All() {
-		if m.From != n.coordinator || !n.acceptSender(m.From) {
+		if m.From != n.coordinator {
 			continue
 		}
 		if op, ok := m.Payload.(wire.Opinion); ok && n.accepts(op.Instance) {
-			out[op.Instance] = op.X
-		}
-	}
-	return out
-}
-
-// tally counts one message family for one instance, applying the paper's
-// substitution rules. Marker messages (nopreference/nostrongpreference)
-// count their sender as present without contributing an opinion.
-func (n *Node) tally(ins *instance, inbox simnet.Inbox, fam family) tallies {
-	t := newTallies()
-	senders := make(map[ids.ID]struct{})
-	sawReal := false
-	for m := range inbox.All() {
-		if !n.acceptSender(m.From) {
-			continue
-		}
-		switch p := m.Payload.(type) {
-		case wire.Input:
-			if fam == famInput && p.Instance == ins.id {
-				t.add(p.X, 1)
-				senders[m.From] = struct{}{}
-				sawReal = true
-			}
-		case wire.Prefer:
-			if fam == famPrefer && p.Instance == ins.id {
-				t.add(p.X, 1)
-				senders[m.From] = struct{}{}
-				sawReal = true
-			}
-		case wire.NoPreference:
-			if fam == famPrefer && p.Instance == ins.id {
-				senders[m.From] = struct{}{}
-				sawReal = true
-			}
-		case wire.StrongPrefer:
-			if fam == famStrongPrefer && p.Instance == ins.id {
-				t.add(p.X, 1)
-				senders[m.From] = struct{}{}
-				sawReal = true
-			}
-		case wire.NoStrongPreference:
-			if fam == famStrongPrefer && p.Instance == ins.id {
-				senders[m.From] = struct{}{}
-				sawReal = true
+			if ins := n.lookup(op.Instance); ins != nil {
+				ins.coord, ins.hasCoord = op.X, true
 			}
 		}
 	}
-
-	// Substitution for censused nodes that sent nothing of this family:
-	// ⊥ on first receipt of the family, own most recent message of the
-	// family afterwards (⊥ if never sent).
-	fill := wire.Bot()
-	if ins.seenFamily[fam] && ins.hasSent[fam] {
-		fill = ins.lastSent[fam]
-	}
-	if missing := n.frozen.N() - len(senders); missing > 0 {
-		t.add(fill, missing)
-	}
-	if sawReal {
-		ins.seenFamily[fam] = true
-	}
-	return t
-}
-
-func (n *Node) observe(inbox simnet.Inbox) {
-	for m := range inbox.All() {
-		n.cen.Observe(m.From)
-	}
-}
-
-// tallies mirrors the consensus package's per-round counting.
-type tallies struct {
-	counts map[wire.ValueKey]int
-	values map[wire.ValueKey]wire.Value
-}
-
-func newTallies() tallies {
-	return tallies{counts: make(map[wire.ValueKey]int), values: make(map[wire.ValueKey]wire.Value)}
-}
-
-func (t *tallies) add(v wire.Value, k int) {
-	if k <= 0 {
-		return
-	}
-	key := v.Key()
-	t.counts[key] += k
-	t.values[key] = v
-}
-
-func (t *tallies) best() (wire.Value, int) {
-	var bestVal wire.Value
-	bestCount := -1
-	for key, count := range t.counts {
-		v := t.values[key]
-		switch {
-		case count > bestCount:
-			bestVal, bestCount = v, count
-		case count == bestCount && v.Less(bestVal):
-			bestVal = v
-		}
-	}
-	if bestCount < 0 {
-		return wire.Value{}, 0
-	}
-	return bestVal, bestCount
 }

@@ -144,7 +144,7 @@ func TestAddInputBeforeGrid(t *testing.T) {
 	if !n.Aware(3) || !n.Aware(4) {
 		t.Fatal("AddInput did not register instances")
 	}
-	if x := n.inst[3].x; !x.Equal(wire.V(2)) {
+	if x := n.lookup(3).x; !x.Equal(wire.V(2)) {
 		t.Fatalf("override failed: %v", x)
 	}
 }

@@ -85,9 +85,7 @@ func (n *Node) TerminationRound() int { return n.termRound }
 
 // Step implements simnet.Process.
 func (n *Node) Step(env *simnet.RoundEnv) {
-	for m := range env.Inbox.All() {
-		n.cen.Observe(m.From)
-	}
+	n.cen.ObserveInbox(env.Inbox)
 	switch env.Round {
 	case 1:
 		env.Broadcast(wire.Init{})

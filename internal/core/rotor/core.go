@@ -69,7 +69,6 @@ func NewCore(self ids.ID, instance uint64) *Core {
 	return &Core{
 		self:     self,
 		instance: instance,
-		echoes:   newEchoTally(),
 		opinions: make(map[ids.ID]wire.Value),
 	}
 }
@@ -85,6 +84,10 @@ func (c *Core) SetCycling(cycling bool) { c.cycling = cycling }
 // run to a known membership snapshot S and skip the two init rounds by
 // seeding C_v = S.
 func (c *Core) SeedCandidates(members *ids.Set) {
+	if c.candidates.Len() == 0 {
+		c.candidates = *members.Clone()
+		return
+	}
 	for _, id := range members.Members() {
 		c.candidates.Add(id)
 	}
@@ -107,19 +110,25 @@ func (c *Core) EchoInits(inbox simnet.Inbox, emit func(wire.Payload)) {
 
 // NoteInbox records the rotor-relevant messages of one delivered inbox:
 // candidate echoes (tallied by distinct sender until the next LoopRound)
-// and coordinator opinions. accept filters senders (nil accepts all);
-// consensus passes its frozen census. It must depend on the sender
-// only: an inbox holds each sender's messages back to back, so accept
-// and the tally's sender number are resolved once per run of messages
-// from one sender.
-func (c *Core) NoteInbox(inbox simnet.Inbox, accept func(ids.ID) bool) {
+// and coordinator opinions. members, when non-nil, is the owner's frozen
+// census: senders outside it are ignored and an echo's sender bit is its
+// census slot. A nil members accepts every sender and numbers senders on
+// first sight (the standalone protocol, whose n_v never freezes). An
+// inbox holds each sender's messages back to back, so the census lookup
+// is made once per run of messages from one sender.
+func (c *Core) NoteInbox(inbox simnet.Inbox, members *census.Frozen) {
 	var from ids.ID
-	started, ok, bit := false, false, -1
+	started, ok := false, false
 	for m := range inbox.All() {
 		if !started || m.From != from {
-			from, started = m.From, true
-			ok = accept == nil || accept(from)
-			bit = -1
+			from, started, ok = m.From, true, true
+			var bit int
+			if members != nil {
+				bit, ok = members.Slot(from)
+			} else {
+				bit = c.echoes.senderBit(from)
+			}
+			c.echoes.begin(bit)
 		}
 		if !ok {
 			continue
@@ -129,10 +138,7 @@ func (c *Core) NoteInbox(inbox simnet.Inbox, accept func(ids.ID) bool) {
 			if p.Instance != c.instance {
 				continue
 			}
-			if bit < 0 {
-				bit = c.echoes.senderBit(from)
-			}
-			c.echoes.add(p.Candidate, bit)
+			c.echoes.add(p.Candidate)
 		case wire.Opinion:
 			if p.Instance != c.instance {
 				continue

@@ -37,9 +37,7 @@ func (n *Node) Done() bool { return n.core.Terminated() }
 
 // Step implements simnet.Process.
 func (n *Node) Step(env *simnet.RoundEnv) {
-	for m := range env.Inbox.All() {
-		n.cen.Observe(m.From)
-	}
+	n.cen.ObserveInbox(env.Inbox)
 	switch env.Round {
 	case 1:
 		n.core.BroadcastInit(env.Broadcast)

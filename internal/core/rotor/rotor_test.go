@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"uba/internal/adversary"
+	"uba/internal/census"
 	"uba/internal/ids"
 	"uba/internal/simnet"
 	"uba/internal/wire"
@@ -382,12 +383,12 @@ func TestCoreFiltersByInstanceAndSender(t *testing.T) {
 	core := NewCore(1, 7)
 	// Echo with wrong instance must be ignored; echo from filtered
 	// sender must be ignored.
-	accept := func(id ids.ID) bool { return id != 66 }
+	members := census.FrozenOf(ids.NewSet(2, 3))
 	core.NoteInbox(simnet.InboxOf(
 		simnet.Received{From: 2, Payload: wire.IDEcho{Instance: 7, Candidate: 100}},
 		simnet.Received{From: 3, Payload: wire.IDEcho{Instance: 8, Candidate: 100}},
 		simnet.Received{From: 66, Payload: wire.IDEcho{Instance: 7, Candidate: 100}},
-	), accept)
+	), &members)
 	// nv = 3: one valid echo passes n_v/3 (1 ≥ 1) but not 2n_v/3.
 	var emitted []wire.Payload
 	core.LoopRound(3, wire.V(0), func(p wire.Payload) { emitted = append(emitted, p) })
