@@ -56,20 +56,6 @@ func (c *Census) Observe(sender ids.ID) bool {
 	return true
 }
 
-// ObserveInbox records every sender of a delivered inbox. An inbox holds
-// each sender's messages back to back, so the census is consulted once
-// per run of messages from one sender, not once per message.
-func (c *Census) ObserveInbox(inbox simnet.Inbox) {
-	var from ids.ID
-	started := false
-	for m := range inbox.All() {
-		if !started || m.From != from {
-			from, started = m.From, true
-			c.Observe(from)
-		}
-	}
-}
-
 // N returns n_v, the number of distinct observed senders.
 func (c *Census) N() int { return len(c.seen) }
 

@@ -163,11 +163,11 @@ func (n *Node) NV() int { return n.frozen.N() }
 func (n *Node) Step(env *simnet.RoundEnv) {
 	switch env.Round {
 	case 1:
-		n.cen.ObserveInbox(env.Inbox)
+		n.observeAll(env)
 		n.core.BroadcastInit(env.Broadcast)
 		return
 	case 2:
-		n.cen.ObserveInbox(env.Inbox)
+		n.observeAll(env)
 		n.core.EchoInits(env.Inbox, env.Broadcast)
 		// Freeze n_v: ids heard during initialization are the
 		// protocol's world; everything else is discarded later.
@@ -322,4 +322,11 @@ func (n *Node) tally(inbox simnet.Inbox, kind wire.Kind) *census.Tally {
 		t.Fill(n.lastSent[kind])
 	}
 	return t
+}
+
+// observeAll tracks senders during initialization.
+func (n *Node) observeAll(env *simnet.RoundEnv) {
+	for m := range env.Inbox.All() {
+		n.cen.Observe(m.From)
+	}
 }

@@ -125,9 +125,6 @@ type instance struct {
 	// coord is the coordinator's opinion received at PR5, if hasCoord.
 	coord    wire.Value
 	hasCoord bool
-	// pos is the instance's index in Node.inst while a tally buckets
-	// the round's ballots.
-	pos int
 
 	decided  bool
 	output   wire.Value
@@ -160,11 +157,9 @@ type Node struct {
 	inst    []*instance // ascending instance id
 	ignored map[uint64]struct{}
 
-	// Tally scratch, reused every round: the round's ballots, the same
-	// bucketed by instance, the bucket bounds, and the kernel.
+	// Tally scratch, reused every round: the round's ballots and the
+	// kernel.
 	ballots []ballot
-	buckets []ballot
-	bounds  []int
 	votes   census.Tally
 
 	phasesRun int
@@ -285,11 +280,11 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, send func(wire.Payload))
 	if n.opts.Members == nil {
 		switch local {
 		case 1:
-			n.cen.ObserveInbox(inbox)
+			n.observe(inbox)
 			n.core.BroadcastInit(send)
 			return
 		case 2:
-			n.cen.ObserveInbox(inbox)
+			n.observe(inbox)
 			n.core.EchoInits(inbox, send)
 			n.frozen = n.cen.Freeze()
 			for _, ins := range n.inst {
@@ -482,38 +477,25 @@ func (n *Node) scan(inbox simnet.Inbox, phase int, fam family) {
 // instance, applying the paper's substitution rules, and leaves each
 // result in the instance's quorum. Marker ballots
 // (nopreference/nostrongpreference) count their sender as present
-// without contributing an opinion. The ballots are bucketed by instance
-// with a counting sort, so one kernel counts every instance in turn.
+// without contributing an opinion. The ballots are grouped by instance,
+// so one kernel counts every instance in turn.
 func (n *Node) tally(fam family) {
-	for i, ins := range n.inst {
-		ins.pos = i
-	}
-	n.bounds = slices.Grow(n.bounds[:0], len(n.inst)+1)[:len(n.inst)+1]
-	clear(n.bounds)
-	for _, b := range n.ballots {
-		n.bounds[b.ins.pos+1]++
-	}
-	for i := 1; i < len(n.bounds); i++ {
-		n.bounds[i] += n.bounds[i-1]
-	}
-	n.buckets = slices.Grow(n.buckets[:0], len(n.ballots))[:len(n.ballots)]
-	for _, b := range n.ballots {
-		// bounds[pos] is the bucket's next free place while filling,
-		// and ends as the start of the next bucket.
-		n.buckets[n.bounds[b.ins.pos]] = b
-		n.bounds[b.ins.pos]++
-	}
+	// Stable, so each instance's ballots keep their inbox order.
+	slices.SortStableFunc(n.ballots, func(a, b ballot) int { return cmp.Compare(a.ins.id, b.ins.id) })
 	t := &n.votes
-	lo := 0
-	for i, ins := range n.inst {
-		hi := n.bounds[i]
-		bucket := n.buckets[lo:hi]
-		lo = hi
+	rest := n.ballots
+	for _, ins := range n.inst {
+		k := 0
+		for k < len(rest) && rest[k].ins == ins {
+			k++
+		}
+		run := rest[:k]
+		rest = rest[k:]
 		if ins.decided {
 			continue
 		}
 		t.Reset(n.frozen.N())
-		for _, b := range bucket {
+		for _, b := range run {
 			if b.marker {
 				t.Mark(b.slot)
 			} else {
@@ -528,7 +510,7 @@ func (n *Node) tally(fam family) {
 			fill = ins.lastSent[fam]
 		}
 		t.Fill(fill)
-		if len(bucket) > 0 {
+		if len(run) > 0 {
 			ins.seenFamily[fam] = true
 		}
 		ins.quorum = t.Best()
@@ -553,5 +535,11 @@ func (n *Node) coordinatorOpinions(inbox simnet.Inbox) {
 				ins.coord, ins.hasCoord = op.X, true
 			}
 		}
+	}
+}
+
+func (n *Node) observe(inbox simnet.Inbox) {
+	for m := range inbox.All() {
+		n.cen.Observe(m.From)
 	}
 }

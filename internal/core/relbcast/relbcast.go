@@ -94,7 +94,9 @@ func (n *Node) Done() bool { return false }
 
 // Step implements simnet.Process.
 func (n *Node) Step(env *simnet.RoundEnv) {
-	n.cen.ObserveInbox(env.Inbox)
+	for m := range env.Inbox.All() {
+		n.cen.Observe(m.From)
+	}
 
 	switch env.Round {
 	case 1:

@@ -85,7 +85,9 @@ func (n *Node) TerminationRound() int { return n.termRound }
 
 // Step implements simnet.Process.
 func (n *Node) Step(env *simnet.RoundEnv) {
-	n.cen.ObserveInbox(env.Inbox)
+	for m := range env.Inbox.All() {
+		n.cen.Observe(m.From)
+	}
 	switch env.Round {
 	case 1:
 		env.Broadcast(wire.Init{})
